@@ -37,6 +37,7 @@ from .rpq_synth import (
     DEFAULT_SEARCH_BUDGET,
     RpqView,
     capture_check,
+    reduce_to_single_mapping,
     synthesize,
 )
 from .twoway import contains_2rpq
@@ -74,8 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--all", dest="find_all", action="store_true",
                          help="report every passing assignment")
     p_synth.add_argument("--view-kind", choices=("cq", "ucq"), default="cq")
-    p_synth.add_argument("--workers", type=int, default=1)
-    p_synth.add_argument("--seed", type=int, default=0)
     add_common(p_synth)
     p_synth.set_defaults(func=cmd_synth)
 
@@ -177,8 +176,6 @@ def _dump_dot(args, automata: dict[str, "object"]) -> None:
 
 def cmd_synth(args) -> int:
     det_cap, monoid_cap, budget = _caps(args)
-    if args.workers < 1:
-        raise InputError("worker count must be at least 1")
     instance = parse_instance(_read(args.file))
     mode = args.mode or instance.mode
 
@@ -188,15 +185,17 @@ def cmd_synth(args) -> int:
             mode,
             find_all=args.find_all,
             maximal=args.maximal,
-            workers=args.workers,
             det_cap=det_cap,
             monoid_cap=monoid_cap,
             budget=budget,
-            seed=args.seed,
         )
         if args.dot:
-            autos = {"target": compile_regex(instance.mappings[0].target)}
-            _dump_dot(args, autos)
+            # the search runs on the mappings combined around a separator
+            combined, _ = reduce_to_single_mapping(instance.mappings, set(instance.symbols))
+            _dump_dot(args, {
+                "target": compile_regex(combined.target),
+                "source": compile_regex(combined.source),
+            })
         lines = [f"outcome: {report.outcome}"]
         if report.found:
             for sym, regex in sorted(report.views_regex.items()):
@@ -415,11 +414,12 @@ def main(argv=None) -> int:
     except (CapExceeded, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ParseError, InputError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ViewSynthError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        # the parser and the regex and automaton walkers recurse per nesting level
+        print("error: input nested too deeply", file=sys.stderr)
         return 2
 
 

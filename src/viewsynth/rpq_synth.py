@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 import time
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .errors import BudgetExceeded, InputError
@@ -50,12 +49,17 @@ class RpqView:
     """One view: EMPTY, a (union of) congruence class(es), or an explicit NWA.
 
     ``classes`` holds monoid element indices; a singleton is a plain class
-    view.  Explicit automata only arrive through check mode (user-supplied
-    views); the search never produces them.
+    view.  At most one of ``classes`` and ``automaton`` is set.  Explicit
+    automata only arrive through check mode (user-supplied views); the
+    search never produces them.
     """
 
     classes: "frozenset[int] | None" = None
     automaton: "NWA | None" = None
+
+    def __post_init__(self):
+        if self.classes is not None and self.automaton is not None:
+            raise InputError("a view is classes or an explicit automaton, not both")
 
     @staticmethod
     def empty() -> "RpqView":
@@ -76,24 +80,9 @@ class RpqView:
     def explicit(nwa: NWA) -> "RpqView":
         return RpqView(automaton=nwa)
 
-    @property
-    def is_empty(self) -> bool:
-        return self.classes is None and self.automaton is None
-
-    @property
-    def kind(self) -> str:
-        if self.is_empty:
-            return "empty"
-        if self.automaton is not None:
-            return "explicit" if self.classes is None else "mixed"
-        return "class" if len(self.classes) == 1 else "class-union"
-
     def with_class(self, index: int) -> "RpqView":
         classes = frozenset((index,)) if self.classes is None else self.classes | {index}
         return RpqView(classes=classes, automaton=self.automaton)
-
-    def signature(self):
-        return (self.classes, id(self.automaton) if self.automaton is not None else None)
 
 
 RpqViews = dict[str, RpqView]
@@ -101,20 +90,18 @@ RpqViews = dict[str, RpqView]
 
 def realize_view(view: RpqView, monoid: "TransitionMonoid | None") -> "NWA | None":
     """The view's language as an NWA (``None`` for the empty language)."""
-    parts = []
-    if view.classes is not None:
-        if monoid is None:
-            raise InputError("class views need the instance's transition monoid")
-        parts.append(class_automaton(monoid, set(view.classes)).as_nwa())
     if view.automaton is not None:
-        parts.append(view.automaton)
-    if not parts:
+        return view.automaton
+    if view.classes is None:
         return None
-    return parts[0] if len(parts) == 1 else union_nwa(parts)
+    if monoid is None:
+        raise InputError("class views need the instance's transition monoid")
+    return class_automaton(monoid, set(view.classes)).as_nwa()
 
 
 def views_signature(views: RpqViews):
-    return tuple(sorted((sym, v.signature()) for sym, v in views.items()))
+    """Hashable key of class-view assignments."""
+    return tuple(sorted((sym, v.classes) for sym, v in views.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -176,18 +163,11 @@ class SynthStats:
     monoid_size: int = 0
     assignments_tried: int = 0
     prefixes_pruned: int = 0
-    workers: int = 1
-    seed: int = 0
     elapsed: float = 0.0
 
     def to_json(self):
-        # only worker-count- and timing-independent fields: JSON reports must
-        # be byte-identical across worker counts
-        return {
-            "mode": self.mode,
-            "monoid_size": self.monoid_size,
-            "seed": self.seed,
-        }
+        # no timing fields: JSON reports must be byte-identical across runs
+        return {"mode": self.mode, "monoid_size": self.monoid_size}
 
 
 @dataclass
@@ -290,15 +270,25 @@ class _MappingChecker:
     def substituted(self, realized: dict[str, "NWA | None"]) -> NWA:
         return substitute(self.a_s, realized, self.source_syms, self.alphabet)
 
+    def separating(self, sub: NWA) -> "Word | None":
+        """A shortest word of ``sub`` outside the target; ``None`` when contained."""
+        if self.two_way:
+            return difference_witness(sub, self._folded_target(), cap=self.det_cap)
+        gap = product(sub, self._complement_target(), alphabet=self.alphabet)
+        return is_empty(gap)[1]
+
+    def reverse_separating(self, sub: NWA) -> "Word | None":
+        """A shortest target word outside ``sub``; ``None`` when contained."""
+        if self.two_way:
+            from .twoway import fold_automaton, two_to_one
+
+            sub = two_to_one(fold_automaton(sub), cap=self.det_cap)
+        return difference_witness(self.a_t, sub, cap=self.det_cap)
+
     def check(self, realized: dict[str, "NWA | None"], mode: str) -> MappingCheck:
         sub = self.substituted(realized)
         empty, witness = is_empty(sub)
-        target = self._folded_target() if self.two_way else self.a_t
-        if self.two_way:
-            separating = difference_witness(sub, target, cap=self.det_cap)
-        else:
-            gap = product(sub, self._complement_target(), alphabet=self.alphabet)
-            _, separating = is_empty(gap)
+        separating = self.separating(sub)
         record = MappingCheck(
             contained=separating is None,
             separating=separating,
@@ -306,29 +296,10 @@ class _MappingChecker:
             witness=witness,
         )
         if mode == "exact":
-            if self.two_way:
-                from .twoway import fold_automaton, two_to_one
-
-                folded_sub = two_to_one(fold_automaton(sub), cap=self.det_cap)
-                rev = difference_witness(self.a_t, folded_sub, cap=self.det_cap)
-            else:
-                rev = difference_witness(self.a_t, sub, cap=self.det_cap)
+            rev = self.reverse_separating(sub)
             record.reverse_contained = rev is None
             record.reverse_separating = rev
         return record
-
-    def contained_prefix(self, realized: dict[str, "NWA | None"]) -> bool:
-        """Containment with unassigned symbols treated as empty.
-
-        Sound for pruning: words witnessing a violation survive every
-        extension of the assignment (view languages only grow).
-        """
-        sub = self.substituted(realized)
-        if self.two_way:
-            return difference_witness(sub, self._folded_target(), cap=self.det_cap) is None
-        gap = product(sub, self._complement_target(), alphabet=self.alphabet)
-        empty, _ = is_empty(gap)
-        return empty
 
 
 def capture_check(
@@ -415,33 +386,31 @@ class _Engine:
         self._realized_cache: dict = {}
 
     def realize(self, view: RpqView) -> "NWA | None":
-        key = view.signature()
-        if key not in self._realized_cache:
-            self._realized_cache[key] = realize_view(view, self.monoid)
-        return self._realized_cache[key]
+        """A class view's language, built once per class set."""
+        if view.classes not in self._realized_cache:
+            self._realized_cache[view.classes] = realize_view(view, self.monoid)
+        return self._realized_cache[view.classes]
 
     def assignment_ok(self, views: RpqViews) -> bool:
         realized = {sym: self.realize(v) for sym, v in views.items()}
         for checker in self.checkers:
             sub = checker.substituted(realized)
-            empty, _ = is_empty(sub)
-            if empty:
+            if is_empty(sub)[0] or checker.separating(sub) is not None:
                 return False
-            gap = product(sub, checker._complement_target(), alphabet=checker.alphabet)
-            gap_empty, _ = is_empty(gap)
-            if not gap_empty:
+            if self.mode == "exact" and checker.reverse_separating(sub) is not None:
                 return False
-            if self.mode == "exact":
-                rev = difference_witness(checker.a_t, sub, cap=self.det_cap)
-                if rev is not None:
-                    return False
         return True
 
     def prefix_ok(self, partial: RpqViews) -> bool:
+        """Containment with unassigned symbols treated as empty.
+
+        Sound for pruning: words witnessing a violation survive every
+        extension of the assignment (view languages only grow).
+        """
         realized = {sym: self.realize(v) for sym, v in partial.items()}
         for sym in self.occurring:
             realized.setdefault(sym, None)
-        return all(c.contained_prefix(realized) for c in self.checkers)
+        return all(c.separating(c.substituted(realized)) is None for c in self.checkers)
 
     def options_factory(self):
         """Per-symbol candidate views in canonical order (EMPTY first)."""
@@ -467,28 +436,23 @@ def synthesize(
     find_all: bool = False,
     maximal: bool = False,
     use_reduction: bool = True,
-    workers: int = 1,
     det_cap: int = DEFAULT_DET_CAP,
     monoid_cap: int = DEFAULT_MONOID_CAP,
     budget: int = DEFAULT_SEARCH_BUDGET,
-    seed: int = 0,
 ) -> SynthesisReport:
     """Search for capturing views; see :func:`synthesize_sound` and
     :func:`synthesize_exact` for the two modes.
 
     With ``find_all`` every passing assignment is collected (subject to the
-    budget); with ``maximal`` each result is greedily extended to a maximal
-    capturing view set before reporting.  Results are deterministic and
-    independent of ``workers``.
+    budget), in canonical order; with ``maximal`` each result is greedily
+    extended to a maximal capturing view set before reporting.
     """
     mode = mode or instance.mode
     started = time.monotonic()
     engine = _Engine(
         instance, mode, use_reduction=use_reduction, det_cap=det_cap, monoid_cap=monoid_cap
     )
-    stats = SynthStats(
-        mode=mode, monoid_size=len(engine.monoid.elements), workers=max(1, workers), seed=seed
-    )
+    stats = SynthStats(mode=mode, monoid_size=len(engine.monoid.elements))
 
     if mode == "exact":
         # the problem trivializes on an empty target query
@@ -498,19 +462,15 @@ def synthesize(
                 stats.elapsed = time.monotonic() - started
                 return SynthesisReport("not-found", None, None, None, stats, monoid=engine.monoid)
 
-    solutions = _run_search(engine, stats, find_all=find_all, budget=budget, workers=workers)
+    solutions = _run_search(engine, stats, find_all=find_all, budget=budget)
 
     if maximal and solutions:
+        # distinct seeds can grow into the same maximal views
         maximized: "OrderedDict" = OrderedDict()
         for views in solutions:
             bigger = _maximize_with_engine(engine, views)
             maximized.setdefault(views_signature(bigger), bigger)
         solutions = list(maximized.values())
-    elif find_all:
-        deduped: "OrderedDict" = OrderedDict()
-        for views in solutions:
-            deduped.setdefault(views_signature(views), views)
-        solutions = list(deduped.values())
 
     stats.elapsed = time.monotonic() - started
     if not solutions:
@@ -531,7 +491,14 @@ def synthesize(
     return report
 
 
-def _run_search(engine: _Engine, stats: SynthStats, *, find_all, budget, workers):
+def _run_search(engine: _Engine, stats: SynthStats, *, find_all, budget):
+    """Passing assignments in canonical order, each once; the first only
+    unless ``find_all``.
+
+    The depth-first search takes the symbols in ``engine.occurring`` order
+    and each symbol's options in canonical order, so it meets assignments
+    in lexicographic canonical order and never meets one twice.
+    """
     syms = list(engine.occurring)
     options = engine.options_factory()
 
@@ -539,8 +506,7 @@ def _run_search(engine: _Engine, stats: SynthStats, *, find_all, budget, workers
         stats.assignments_tried = 1
         return [{}] if engine.assignment_ok({}) else []
 
-    def dfs(depth: int, partial: RpqViews, opts_at_0):
-        """Yield passing assignments in canonical order below this prefix."""
+    def dfs(depth: int, partial: RpqViews):
         if depth == len(syms):
             stats.assignments_tried += 1
             if stats.assignments_tried > budget:
@@ -549,48 +515,16 @@ def _run_search(engine: _Engine, stats: SynthStats, *, find_all, budget, workers
                 yield dict(partial)
             return
         sym = syms[depth]
-        source = opts_at_0 if depth == 0 else options()
-        for view in source:
+        for view in options():
             partial[sym] = view
             if depth + 1 < len(syms) and not engine.prefix_ok(partial):
                 stats.prefixes_pruned += 1
             else:
-                yield from dfs(depth + 1, partial, opts_at_0)
+                yield from dfs(depth + 1, partial)
             del partial[sym]
 
-    def run_chunk(worker_id: int, worker_count: int):
-        chunk = itertools.islice(options(), worker_id, None, worker_count)
-        found = []
-        for views in dfs(0, {}, chunk):
-            found.append(views)
-            if not find_all:
-                break
-        return found
-
-    n_workers = max(1, workers)
-    if n_workers == 1:
-        chunks = [run_chunk(0, 1)]
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            futures = [pool.submit(run_chunk, w, n_workers) for w in range(n_workers)]
-            chunks = [f.result() for f in futures]
-
-    merged = [views for chunk in chunks for views in chunk]
-    merged.sort(key=lambda views: _canonical_key(engine, views))
-    if not find_all:
-        merged = merged[:1]
-    return merged
-
-
-def _canonical_key(engine: _Engine, views: RpqViews):
-    def view_key(v: RpqView):
-        if v.is_empty:
-            return (0,)
-        if engine.mode == "sound":
-            return (1, min(v.classes))
-        return (1, len(v.classes), tuple(sorted(v.classes)))
-
-    return tuple(view_key(views[sym]) for sym in engine.occurring)
+    found = dfs(0, {})
+    return list(found) if find_all else list(itertools.islice(found, 1))
 
 
 def synthesize_sound(instance: ProblemInstance, **kwargs) -> SynthesisReport:
@@ -624,8 +558,10 @@ def maximize(
 
     The result is maximal: once a class addition breaks capture it stays
     broken under any larger views, so a single canonical pass suffices.
-    Raises when the seed views do not capture.
+    Raises when the seed views do not capture or are explicit automata.
     """
+    if any(v.automaton is not None for v in views.values()):
+        raise InputError("maximize grows class views only, not explicit automata")
     engine = _Engine(
         instance, mode, use_reduction=use_reduction, det_cap=det_cap, monoid_cap=monoid_cap
     )

@@ -67,15 +67,20 @@ def test_synth_json_schema(capsys):
     assert payload["statistics"]["monoid_size"] == 5
 
 
-def test_synth_json_independent_of_workers(capsys):
+@pytest.mark.parametrize("text,extra", [
+    (Path(SOUND).read_text(encoding="utf-8"), []),
+    (Path(EXACT).read_text(encoding="utf-8"), ["--all"]),
+    ("kind rpq\nsource a1 a2\ntarget b\nmap a1.a2|a1 ~> b.b|b\n", ["--mode", "exact", "--all"]),
+], ids=["sec6_sound", "sec6_exact_all", "exact_union"])
+def test_synth_json_repeatable(capsys, tmp_path, text, extra):
+    path = tmp_path / "inst.vs"
+    path.write_text(text, encoding="utf-8")
     outputs = []
-    for w in ("1", "2", "3"):
-        code, out, _ = run(
-            capsys, "synth", "--format", "json", "--workers", w, "--all", EXACT
-        )
+    for _ in range(2):
+        code, out, _ = run(capsys, "synth", "--format", "json", *extra, str(path))
         assert code == 0
         outputs.append(out)
-    assert outputs[0] == outputs[1] == outputs[2]
+    assert outputs[0] == outputs[1]
 
 
 def test_synth_stdin(capsys, monkeypatch):
@@ -124,10 +129,39 @@ def test_synth_multi_mapping_instance(capsys):
     assert "view a1 = b1.b1" in out
 
 
-def test_synth_workers_zero_rejected(capsys):
-    code, _, err = run(capsys, "synth", "--workers", "0", SOUND)
+def test_synth_dot_dumps_combined_automata(capsys, tmp_path):
+    two = str(DEMOS / "instances" / "two_mappings.vs")
+    outdir = tmp_path / "dots"
+    code, _, _ = run(capsys, "synth", "--dot", str(outdir), two)
+    assert code == 0
+    labels = set()
+    for line in (outdir / "target.dot").read_text(encoding="utf-8").splitlines():
+        if "->" in line and "label=" in line:
+            labels.update(line.split('label="')[1].split('"')[0].split(","))
+    assert {"#", "b1", "b2"} <= labels
+    assert (outdir / "source.dot").exists()
+
+
+DEEP = "(" * 3000 + "b" + ")" * 3000
+
+
+@pytest.mark.parametrize("command", ["contain", "synth", "check"])
+def test_deep_nesting_is_input_error(capsys, tmp_path, command):
+    inst = tmp_path / "deep.vs"
+    if command == "synth":
+        inst.write_text(f"kind rpq\nsource a\ntarget b\nmap a ~> {DEEP}\n", encoding="utf-8")
+        argv = ["synth", str(inst)]
+    elif command == "check":
+        inst.write_text("kind rpq\nsource a\ntarget b\nmap a ~> b\n", encoding="utf-8")
+        views = tmp_path / "deep.vsv"
+        views.write_text(f"view a = {DEEP}\n", encoding="utf-8")
+        argv = ["check", str(inst), "--views", str(views)]
+    else:
+        argv = ["contain", DEEP, "b"]
+    code, _, err = run(capsys, *argv)
     assert code == 2
-    assert "worker" in err
+    assert "nested too deeply" in err
+    assert "Traceback" not in err
 
 
 # --- check ------------------------------------------------------------------------

@@ -260,6 +260,31 @@ def test_maximize_rejects_noncapturing_seed(sec6_sound):
         maximize(sec6_sound, bad)
 
 
+def test_maximize_rejects_noncapturing_class_seed(sec6_sound):
+    views = dict(synthesize_sound(sec6_sound).views)
+    views["a3"] = views["a1"]  # lets a3.a3 = b1.b1 through
+    with pytest.raises(InputError, match="capture"):
+        maximize(sec6_sound, views)
+
+
+def test_maximize_rejects_explicit_views(sec6_sound):
+    views = {
+        "a1": RpqView.explicit(rx("b1")),
+        "a2": RpqView.explicit(rx("b2")),
+        "a3": RpqView.empty(),
+    }
+    assert capture_check(sec6_sound, views, None, "sound").ok
+    with pytest.raises(InputError, match="explicit"):
+        maximize(sec6_sound, views)
+
+
+def test_view_is_classes_or_automaton_not_both():
+    with pytest.raises(InputError):
+        RpqView(classes=frozenset((0,)), automaton=rx("b"))
+    with pytest.raises(InputError):
+        RpqView.explicit(rx("b")).with_class(0)
+
+
 def test_sound_solution_is_already_maximal(sec6_sound):
     report = synthesize_sound(sec6_sound)
     maximal = maximize(sec6_sound, report.views)
@@ -354,30 +379,36 @@ def test_congruence_closure_preserves_capture():
     assert closures_checked >= 5
 
 
-def test_deterministic_across_worker_counts(sec6_sound, sec6_exact):
-    for inst in (sec6_sound, sec6_exact):
-        reports = [
-            synthesize_sound(inst, find_all=True, workers=w) for w in (1, 2, 3)
-        ]
-        signatures = [
-            [sorted((s, v.classes) for s, v in views.items()) for views in r.all_views]
-            for r in reports
-        ]
-        assert signatures[0] == signatures[1] == signatures[2]
-        jsons = [r.to_json() for r in reports]
-        assert jsons[0] == jsons[1] == jsons[2]
+def canonical_key(views, instance, mode):
+    """Sort key of the search order: EMPTY first, then the class index
+    (sound) or the union size and its sorted classes (exact)."""
+    def view_key(v):
+        if v.classes is None:
+            return (0,)
+        if mode == "sound":
+            return (1, min(v.classes))
+        return (1, len(v.classes), tuple(sorted(v.classes)))
+
+    return tuple(view_key(views[s]) for s in instance.occurring_source_symbols())
 
 
-def test_deterministic_exact_across_worker_counts():
-    inst = parse_instance(
-        "kind rpq\nsource a1 a2\ntarget b\nmap a1.a2|a1 ~> b.b|b\n"
-    )
-    reports = [
-        synthesize_exact(inst, find_all=True, workers=w) for w in (1, 2, 3)
-    ]
-    jsons = [r.to_json() for r in reports]
-    assert jsons[0] == jsons[1] == jsons[2]
-    assert reports[0].found
+@pytest.mark.parametrize("mode", ["sound", "exact"])
+def test_all_views_canonical_and_distinct(mode):
+    rng = random.Random(5)
+    multi = 0
+    for _ in range(40):
+        inst = random_rpq_instance(rng, n_mappings=rng.randint(1, 2))
+        try:
+            report = synthesize(inst, mode, find_all=True, budget=500)
+        except BudgetExceeded:
+            continue
+        if not report.found:
+            continue
+        keys = [canonical_key(v, inst, mode) for v in report.all_views]
+        # strictly increasing: sorted, and no assignment reported twice
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        multi += len(keys) > 1
+    assert multi >= 5
 
 
 def test_engine_agrees_with_brute_oracle_quickly():
