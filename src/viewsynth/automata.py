@@ -212,13 +212,16 @@ def eliminate_epsilon(a: NWA) -> NWA:
                     seen.add(t)
                     stack.append(t)
         closure.append(frozenset(seen))
+    labelled: dict[int, list[tuple[str, frozenset[int]]]] = {}
+    for (src, label), dsts in a._step.items():
+        if label is not None:
+            labelled.setdefault(src, []).append((label, dsts))
     transitions = set()
     for p in range(a.n_states):
         for q in closure[p]:
-            for (src, label), dsts in a._step.items():
-                if src == q and label is not None:
-                    for d in dsts:
-                        transitions.add((p, label, d))
+            for label, dsts in labelled.get(q, ()):
+                for d in dsts:
+                    transitions.add((p, label, d))
     finals = {s for s in range(a.n_states) if closure[s] & a.finals}
     return NWA(a.n_states, a.alphabet, a.initials, finals, transitions)
 
@@ -351,9 +354,10 @@ def is_empty(a: NWA) -> tuple[bool, Word | None]:
         parent[s] = None
         queue.append(s)
     hit = next((s for s in sorted(a.initials) if s in a.finals), None)
+    labels = sorted(a.labels_present())
     while queue and hit is None:
         p = queue.popleft()
-        for label in sorted(a.labels_present()):
+        for label in labels:
             for q in sorted(a.step(p, label)):
                 if q not in parent:
                     parent[q] = (p, label)

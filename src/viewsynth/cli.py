@@ -53,6 +53,20 @@ def _env_int(name: str, default: int) -> int:
         raise InputError(f"environment variable {name} is not an integer: {value!r}")
 
 
+_OPTIONS = {
+    "--det-cap": dict(type=int, default=None, help="determinization state cap"),
+    "--monoid-cap": dict(type=int, default=None, help="monoid element cap"),
+    "--budget": dict(type=int, default=None, help="search budget"),
+    "--dot": dict(metavar="DIR", default=None, help="dump automata as DOT files"),
+}
+
+_CAP_DEFAULTS = {
+    "det_cap": ("VIEWSYNTH_DET_CAP", DEFAULT_DET_CAP),
+    "monoid_cap": ("VIEWSYNTH_MONOID_CAP", DEFAULT_MONOID_CAP),
+    "budget": ("VIEWSYNTH_BUDGET", DEFAULT_SEARCH_BUDGET),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="viewsynth",
@@ -61,12 +75,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"viewsynth {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_options(p, *options):
+        """``--format`` and those of the cap, budget and DOT options the
+        subcommand's handler reads."""
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--det-cap", type=int, default=None, help="determinization state cap")
-        p.add_argument("--monoid-cap", type=int, default=None, help="monoid element cap")
-        p.add_argument("--budget", type=int, default=None, help="search budget")
-        p.add_argument("--dot", metavar="DIR", default=None, help="dump automata as DOT files")
+        for flag in options:
+            p.add_argument(flag, **_OPTIONS[flag])
 
     p_synth = sub.add_parser("synth", help="synthesize views for an instance file")
     p_synth.add_argument("file", help="instance file, or - for stdin")
@@ -75,26 +89,26 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--all", dest="find_all", action="store_true",
                          help="report every passing assignment")
     p_synth.add_argument("--view-kind", choices=("cq", "ucq"), default="cq")
-    add_common(p_synth)
+    add_options(p_synth, "--det-cap", "--monoid-cap", "--budget", "--dot")
     p_synth.set_defaults(func=cmd_synth)
 
     p_check = sub.add_parser("check", help="check user-supplied views against an instance")
     p_check.add_argument("file")
     p_check.add_argument("--views", required=True, help="views file")
     p_check.add_argument("--mode", choices=("sound", "exact"), default=None)
-    add_common(p_check)
+    add_options(p_check, "--det-cap")
     p_check.set_defaults(func=cmd_check)
 
     p_contain = sub.add_parser("contain", help="decide query containment q1 in q2")
     p_contain.add_argument("--kind", choices=("rpq", "2rpq", "cq", "ucq"), default="rpq")
     p_contain.add_argument("q1")
     p_contain.add_argument("q2")
-    add_common(p_contain)
+    add_options(p_contain, "--det-cap", "--dot")
     p_contain.set_defaults(func=cmd_contain)
 
     p_monoid = sub.add_parser("monoid", help="print the transition monoid of a regex")
     p_monoid.add_argument("regex")
-    add_common(p_monoid)
+    add_options(p_monoid, "--monoid-cap", "--dot")
     p_monoid.set_defaults(func=cmd_monoid)
 
     p_oracle = sub.add_parser("oracle", help="brute-force semantics for ad-hoc use")
@@ -104,19 +118,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--kind", choices=("rpq", "2rpq"), default="rpq")
     p_eval.add_argument("graph", help="edge list: node -label-> node")
     p_eval.add_argument("regex")
-    add_common(p_eval)
+    add_options(p_eval)
     p_eval.set_defaults(func=cmd_oracle_eval)
 
     p_evalq = osub.add_parser("eval-ucq", help="evaluate a UCQ over a facts file")
     p_evalq.add_argument("facts", help="facts file: one 'pred c1 c2 ...' per line")
     p_evalq.add_argument("query")
-    add_common(p_evalq)
+    add_options(p_evalq)
     p_evalq.set_defaults(func=cmd_oracle_eval_ucq)
 
     p_brute = osub.add_parser("brute-exists", help="exhaustive RPQ view existence")
     p_brute.add_argument("file")
     p_brute.add_argument("--bound", type=int, default=None, help="view word length bound")
-    add_common(p_brute)
+    add_options(p_brute, "--budget")
     p_brute.set_defaults(func=cmd_oracle_brute)
 
     p_coh = osub.add_parser("coherence", help="sample databases against views")
@@ -125,25 +139,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_coh.add_argument("--samples", type=int, default=50)
     p_coh.add_argument("--seed", type=int, default=0)
     p_coh.add_argument("--mode", choices=("sound", "exact"), default=None)
-    add_common(p_coh)
+    add_options(p_coh)
     p_coh.set_defaults(func=cmd_oracle_coherence)
 
     return parser
 
 
-def _caps(args):
-    det = args.det_cap if args.det_cap is not None else _env_int(
-        "VIEWSYNTH_DET_CAP", DEFAULT_DET_CAP
-    )
-    monoid = args.monoid_cap if args.monoid_cap is not None else _env_int(
-        "VIEWSYNTH_MONOID_CAP", DEFAULT_MONOID_CAP
-    )
-    budget = args.budget if args.budget is not None else _env_int(
-        "VIEWSYNTH_BUDGET", DEFAULT_SEARCH_BUDGET
-    )
-    if det <= 0 or monoid <= 0 or budget <= 0:
+def _cap(args, name: str) -> int:
+    """The option ``name`` (``det_cap``, ``monoid_cap`` or ``budget``), else
+    its environment variable, else its default."""
+    value = getattr(args, name)
+    if value is None:
+        env, default = _CAP_DEFAULTS[name]
+        value = _env_int(env, default)
+    if value <= 0:
         raise InputError("caps and budgets must be positive")
-    return det, monoid, budget
+    return value
 
 
 def _read(path: str) -> str:
@@ -175,7 +186,9 @@ def _dump_dot(args, automata: dict[str, "object"]) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_synth(args) -> int:
-    det_cap, monoid_cap, budget = _caps(args)
+    det_cap = _cap(args, "det_cap")
+    monoid_cap = _cap(args, "monoid_cap")
+    budget = _cap(args, "budget")
     instance = parse_instance(_read(args.file))
     mode = args.mode or instance.mode
 
@@ -216,6 +229,8 @@ def cmd_synth(args) -> int:
     if instance.kind in ("cq", "ucq"):
         if args.maximal:
             raise InputError("maximal views are computed for rpq instances only")
+        if args.dot:
+            raise InputError("--dot dumps the automata of rpq instances only")
         report = synthesize_cq(
             instance, mode, view_kind=args.view_kind, budget=budget,
             find_all=args.find_all,
@@ -238,7 +253,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_check(args) -> int:
-    det_cap, _, _ = _caps(args)
+    det_cap = _cap(args, "det_cap")
     instance = parse_instance(_read(args.file))
     mode = args.mode or instance.mode
     views_q = parse_views(_read(args.views), instance)
@@ -282,7 +297,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_contain(args) -> int:
-    det_cap, _, _ = _caps(args)
+    det_cap = _cap(args, "det_cap")
     if args.kind in ("rpq", "2rpq"):
         two_way = args.kind == "2rpq"
         r1 = parse_regex(args.q1, None, two_way=two_way)
@@ -321,7 +336,7 @@ def cmd_contain(args) -> int:
 
 
 def cmd_monoid(args) -> int:
-    _, monoid_cap, _ = _caps(args)
+    monoid_cap = _cap(args, "monoid_cap")
     regex = parse_regex(args.regex, None)
     auto = compile_regex(regex)
     monoid = transition_monoid(auto, cap=monoid_cap)
@@ -369,7 +384,7 @@ def cmd_oracle_eval_ucq(args) -> int:
 
 
 def cmd_oracle_brute(args) -> int:
-    _, _, budget = _caps(args)
+    budget = _cap(args, "budget")
     instance = parse_instance(_read(args.file))
     outcome, views = brute_view_existence_rpq(instance, args.bound, budget=budget)
     lines = [f"outcome: {outcome}"]

@@ -7,6 +7,11 @@ also capture it, so enumerating those is complete.  Multi-mapping inputs
 are first combined into one mapping with a fresh separator symbol; the
 separator is a target symbol but never a monoid generator, so synthesized
 view languages stay inside the declared target alphabet.
+
+The search decides each candidate in the monoid (:class:`_ClassCapture`):
+nonemptiness and sound containment follow from the relations the classes
+induce on the target automaton.  Automata are built only for exact mode's
+reverse containment of the candidates that pass, and for the final report.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ from .congruence import (
     DEFAULT_MONOID_CAP,
     TransitionMonoid,
     class_automaton,
+    relation_of_word,
     transition_monoid,
 )
 
@@ -238,7 +244,7 @@ def _interleave(parts, sep):
 # ---------------------------------------------------------------------------
 
 class _MappingChecker:
-    """Pre-compiled automata for one mapping, reused across candidates."""
+    """Pre-compiled automata for one mapping: the automata capture check."""
 
     def __init__(self, mapping: Mapping, source_syms, target_alpha, det_cap, two_way=False):
         if isinstance(mapping.source, UCQ):
@@ -331,6 +337,88 @@ def capture_check(
     return CaptureResult(mode=mode, per_mapping=[c.check(realized, mode) for c in checkers])
 
 
+class _ClassCapture:
+    """Sound capture of one mapping by class views, decided in the monoid.
+
+    Every word of a congruence class drives the trimmed target automaton
+    ``T`` by one relation, so a concatenation of classes and target symbols
+    drives it by the product of their relations.  Walking the source
+    automaton while carrying the set of ``T`` states reachable from ``T``'s
+    initial states (the initial rows of the product relation) therefore
+    reaches a final source state with set ``S`` exactly when some word of
+    the substituted source leads ``T`` to ``S``.  No automaton is built per
+    candidate.
+    """
+
+    def __init__(self, checker: _MappingChecker, monoid: TransitionMonoid):
+        t = trim(checker.a_t)
+
+        def rows_of(word: Word) -> tuple[int, ...]:
+            if not set(word) <= t.alphabet:
+                return (0,) * t.n_states  # T never reads a symbol outside its alphabet
+            return relation_of_word(t, word).rows
+
+        self.class_rows = [rows_of(w) for w in monoid.witnesses]
+        self.start = sum(1 << s for s in t.initials)
+        self.target_finals = sum(1 << s for s in t.finals)
+        a_s = checker.a_s
+        self.source_initials = a_s.initials
+        self.source_finals = a_s.finals
+        # per source state: (source symbol, None, q) or (None, rows, q); the
+        # rows of a non-source label cover the separator, which is a target
+        # symbol but not a monoid generator
+        label_rows = {
+            x: rows_of((x,)) for x in a_s.labels_present() - checker.source_syms
+        }
+        self.edges: list[list] = [[] for _ in range(a_s.n_states)]
+        for p, x, q in a_s.transitions:
+            if x in checker.source_syms:
+                self.edges[p].append((x, None, q))
+            else:
+                self.edges[p].append((None, label_rows[x], q))
+
+    def capture(self, views: RpqViews) -> tuple[bool, bool]:
+        """(nonempty, contained) of the substituted source.
+
+        A symbol without a view, or with the empty view, has no words.  The
+        walk stops at the first word outside the target.
+        """
+        class_rows = self.class_rows
+        edges = self.edges
+        seen = {(p, self.start) for p in self.source_initials}
+        stack = list(seen)
+        nonempty = False
+        while stack:
+            p, reach = stack.pop()
+            if p in self.source_finals:
+                nonempty = True
+                if not reach & self.target_finals:
+                    return True, False
+            for sym, rows, q in edges[p]:
+                if sym is None:
+                    images = (_image(reach, rows),)
+                else:
+                    view = views.get(sym)
+                    if view is None or view.classes is None:
+                        continue
+                    images = {_image(reach, class_rows[e]) for e in view.classes}
+                for nxt in images:
+                    if (q, nxt) not in seen:
+                        seen.add((q, nxt))
+                        stack.append((q, nxt))
+        return nonempty, True
+
+
+def _image(reach: int, rows: tuple[int, ...]) -> int:
+    """States reached from the set ``reach`` by a relation given as rows."""
+    out = 0
+    while reach:
+        low = reach & -reach
+        out |= rows[low.bit_length() - 1]
+        reach ^= low
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Synthesis search
 # ---------------------------------------------------------------------------
@@ -383,22 +471,18 @@ class _Engine:
             _MappingChecker(m, instance.source_names, target_alpha, det_cap)
             for m in self.check_mappings
         ]
-        self._realized_cache: dict = {}
-
-    def realize(self, view: RpqView) -> "NWA | None":
-        """A class view's language, built once per class set."""
-        if view.classes not in self._realized_cache:
-            self._realized_cache[view.classes] = realize_view(view, self.monoid)
-        return self._realized_cache[view.classes]
+        self.class_checks = [_ClassCapture(c, self.monoid) for c in self.checkers]
 
     def assignment_ok(self, views: RpqViews) -> bool:
-        realized = {sym: self.realize(v) for sym, v in views.items()}
-        for checker in self.checkers:
-            sub = checker.substituted(realized)
-            if is_empty(sub)[0] or checker.separating(sub) is not None:
-                return False
-            if self.mode == "exact" and checker.reverse_separating(sub) is not None:
-                return False
+        """Nonempty and sound capture, decided in the monoid; in exact mode
+        the survivors' reverse containment is then decided with automata."""
+        if not all(cc.capture(views) == (True, True) for cc in self.class_checks):
+            return False
+        if self.mode == "exact":
+            realized = {sym: realize_view(v, self.monoid) for sym, v in views.items()}
+            return all(
+                c.reverse_separating(c.substituted(realized)) is None for c in self.checkers
+            )
         return True
 
     def prefix_ok(self, partial: RpqViews) -> bool:
@@ -407,10 +491,7 @@ class _Engine:
         Sound for pruning: words witnessing a violation survive every
         extension of the assignment (view languages only grow).
         """
-        realized = {sym: self.realize(v) for sym, v in partial.items()}
-        for sym in self.occurring:
-            realized.setdefault(sym, None)
-        return all(c.separating(c.substituted(realized)) is None for c in self.checkers)
+        return all(cc.capture(partial)[1] for cc in self.class_checks)
 
     def options_factory(self):
         """Per-symbol candidate views in canonical order (EMPTY first)."""

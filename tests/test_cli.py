@@ -142,6 +142,40 @@ def test_synth_dot_dumps_combined_automata(capsys, tmp_path):
     assert (outdir / "source.dot").exists()
 
 
+def test_synth_dot_on_cq_instance_is_input_error(capsys, tmp_path):
+    outdir = tmp_path / "dots"
+    code, _, err = run(capsys, "synth", "--dot", str(outdir), CHAIN_CQ)
+    assert code == 2
+    assert "--dot" in err
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--dot", "D", SOUND, "--views", GOOD_VIEWS],
+        ["check", "--budget", "5", SOUND, "--views", GOOD_VIEWS],
+        ["check", "--monoid-cap", "5", SOUND, "--views", GOOD_VIEWS],
+        ["contain", "--budget", "5", "b1", "b1|b2"],
+        ["contain", "--monoid-cap", "5", "b1", "b1|b2"],
+        ["monoid", "--budget", "5", "b1"],
+        ["monoid", "--det-cap", "5", "b1"],
+        ["oracle", "eval", "--dot", "D", GRAPH, "a"],
+    ],
+    ids=[
+        "check-dot", "check-budget", "check-monoid-cap", "contain-budget",
+        "contain-monoid-cap", "monoid-budget", "monoid-det-cap", "oracle-eval-dot",
+    ],
+)
+def test_option_the_command_ignores_is_rejected(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "D").exists()
+
+
 DEEP = "(" * 3000 + "b" + ")" * 3000
 
 

@@ -1,10 +1,13 @@
 import random
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from viewsynth.errors import BudgetExceeded, InputError
 from viewsynth.parser import parse_instance, parse_regex
-from viewsynth.automata import accepts, compile_regex, equivalent
+from viewsynth import rpq_synth
+from viewsynth.automata import accepts, compile_regex, equivalent, is_empty
 from viewsynth.congruence import transition_monoid
 from viewsynth.oracle import (
     brute_view_existence_rpq,
@@ -13,6 +16,7 @@ from viewsynth.oracle import (
 )
 from viewsynth.rpq_synth import (
     RpqView,
+    _Engine,
     capture_check,
     maximize,
     realize_view,
@@ -24,6 +28,8 @@ from viewsynth.rpq_synth import (
 )
 
 from .conftest import bounded_language, rx
+
+INSTANCES = Path(__file__).resolve().parent.parent / "demos" / "instances"
 
 
 def view_language(view, monoid, alphabet, max_len):
@@ -418,3 +424,104 @@ def test_engine_agrees_with_brute_oracle_quickly():
         engine = synthesize_sound(inst).outcome
         oracle, _ = brute_view_existence_rpq(inst, budget=500_000)
         assert engine == oracle
+
+
+# --- the monoid capture check against its automata referee ----------------------------
+
+def random_class_views(rng, engine, partial):
+    """Random empty or class-union views; with ``partial`` some symbols stay
+    unassigned, as in the search's prefix checks."""
+    m = len(engine.monoid.elements)
+    views = {}
+    for sym in engine.occurring:
+        r = rng.random()
+        if partial and r < 0.25:
+            continue
+        if r < 0.4:
+            views[sym] = RpqView.empty()
+        elif r < 0.8:
+            views[sym] = RpqView.of_class(rng.randrange(m))
+        else:
+            views[sym] = RpqView.of_classes(rng.sample(range(m), min(rng.randint(2, 3), m)))
+    return views
+
+
+@pytest.mark.parametrize("use_reduction", [True, False])
+def test_monoid_capture_agrees_with_automata(use_reduction):
+    rng = random.Random(67)
+    verdicts = Counter()
+    for _ in range(50):
+        inst = random_rpq_instance(
+            rng,
+            n_mappings=rng.randint(1, 3),
+            max_source_symbols=3,
+            max_target_symbols=3,
+            max_target_leaves=4,
+        )
+        engine = _Engine(inst, "sound", use_reduction=use_reduction)
+        exact = _Engine(inst, "exact", use_reduction=use_reduction)
+        for trial in range(20):
+            partial = trial % 4 == 0
+            views = random_class_views(rng, engine, partial)
+            realized = {sym: realize_view(v, engine.monoid) for sym, v in views.items()}
+            for sym in engine.occurring:
+                realized.setdefault(sym, None)
+            contained = []
+            for checker, cc in zip(engine.checkers, engine.class_checks):
+                sub = checker.substituted(realized)
+                verdict = (not is_empty(sub)[0], checker.separating(sub) is None)
+                assert cc.capture(views) == verdict
+                contained.append(verdict[1])
+                verdicts[verdict] += 1
+            assert engine.prefix_ok(views) == all(contained)
+            if not partial:
+                for e in (engine, exact):
+                    referee = all(c.check(realized, e.mode).ok(e.mode) for c in e.checkers)
+                    assert e.assignment_ok(views) == referee
+    # (nonempty, contained): every possible combination occurs often
+    assert set(verdicts) == {(True, True), (True, False), (False, True)}
+    assert min(verdicts.values()) >= 40
+
+
+@pytest.mark.parametrize("use_reduction", [True, False])
+def test_sound_search_agrees_with_brute_oracle(use_reduction):
+    rng = random.Random(71)
+    decided = 0
+    for _ in range(30):
+        inst = random_rpq_instance(rng, n_mappings=rng.randint(1, 3))
+        try:
+            oracle, _ = brute_view_existence_rpq(inst, budget=100_000)
+        except BudgetExceeded:
+            continue
+        assert synthesize_sound(inst, use_reduction=use_reduction).outcome == oracle
+        decided += 1
+    assert decided >= 20
+
+
+@pytest.mark.parametrize(
+    "name, mode, find_all",
+    [("sec6_sound", "sound", False), ("two_mappings", "sound", False), ("sec6_exact", "exact", True)],
+)
+def test_search_builds_no_automata_per_candidate(monkeypatch, name, mode, find_all):
+    inst = parse_instance((INSTANCES / f"{name}.vs").read_text(encoding="utf-8"))
+    calls = []
+    original = rpq_synth.substitute
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(rpq_synth, "substitute", counting)
+    counts = []
+    for budget in (20_000, 1_000_000):  # sec6_exact --all tries 16,384
+        calls.clear()
+        report = synthesize(inst, mode, find_all=find_all, budget=budget)
+        assert report.found
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+    if mode == "sound":
+        # only the report's own check, one substitution per mapping
+        assert counts[0] == len(inst.mappings)
+    else:
+        # plus the reverse check of the few sound-capturing survivors
+        assert counts[0] * 100 < report.stats.assignments_tried
