@@ -7,6 +7,7 @@ Exit codes: 0 found / holds / pass, 1 not-found / does not hold / fail,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -67,7 +68,9 @@ _CAP_DEFAULTS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="viewsynth",
         description="View synthesis from schema mappings (RPQ and (U)CQ families).",
@@ -158,9 +161,13 @@ def _cap(args, name: str) -> int:
 
 
 def _read(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, ValueError) as exc:
+        # ValueError covers undecodable bytes and a NUL in the path
+        raise InputError(f"cannot read {path}: {exc}") from None
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -193,6 +200,14 @@ def cmd_synth(args) -> int:
     mode = args.mode or instance.mode
 
     if instance.kind == "rpq":
+        if args.dot:
+            # the search runs on the mappings combined around a separator;
+            # they do not depend on the search, so dump them before it can stop
+            combined, _ = reduce_to_single_mapping(instance.mappings, set(instance.symbols))
+            _dump_dot(args, {
+                "target": compile_regex(combined.target),
+                "source": compile_regex(combined.source),
+            })
         report = synthesize(
             instance,
             mode,
@@ -202,13 +217,6 @@ def cmd_synth(args) -> int:
             monoid_cap=monoid_cap,
             budget=budget,
         )
-        if args.dot:
-            # the search runs on the mappings combined around a separator
-            combined, _ = reduce_to_single_mapping(instance.mappings, set(instance.symbols))
-            _dump_dot(args, {
-                "target": compile_regex(combined.target),
-                "source": compile_regex(combined.source),
-            })
         lines = [f"outcome: {report.outcome}"]
         if report.found:
             for sym, regex in sorted(report.views_regex.items()):
@@ -422,8 +430,7 @@ def cmd_oracle_coherence(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (CapExceeded, BudgetExceeded) as exc:

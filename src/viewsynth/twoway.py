@@ -176,86 +176,126 @@ def fold_automaton(a: NWA) -> TwoNWA:
 # Two-way to one-way (crossing-relation construction)
 # ---------------------------------------------------------------------------
 
-def two_to_one(t: TwoNWA, cap: int = DEFAULT_TWOWAY_CAP) -> NWA:
+def _join(rows, members: int) -> int:
+    """The union of ``rows[i]`` over the bits ``i`` set in ``members``."""
+    acc = 0
+    while members:
+        low = members & -members
+        acc |= rows[low.bit_length() - 1]
+        members ^= low
+    return acc
+
+
+def two_to_one(t: TwoNWA, cap: int = DEFAULT_TWOWAY_CAP, within: NWA | None = None) -> NWA:
     """An equivalent one-way NWA, via Shepherdson-style crossing summaries.
 
     Reading the input left to right, the construction tracks, for the tape
     prefix consumed so far, (i) which states can enter the next cell coming
     from the initial configuration and (ii) the relation \"entering the
     prefix's last cell in state p can eventually exit right in state q\".
-    Both are updated per letter; the result is deterministic and complete
-    over the two-way automaton's alphabet.
-    """
-    states_q = range(t.n_states)
+    Both are updated per letter.  Without ``within`` the result is
+    deterministic and complete over the two-way automaton's alphabet.
 
-    def closure(symbol: str, prefix_rel):
-        """Reflexive-transitive closure of one-step returns at this cell."""
-        # p -> q'' when the head dips left in state q' and the prefix
-        # brings it back entering state q''
-        direct: dict[int, set[int]] = {p: {p} for p in states_q}
-        for p in states_q:
-            for d, q1 in t.moves(p, symbol):
-                if d == LEFT:
-                    for q1b, q2 in prefix_rel:
-                        if q1b == q1:
-                            direct[p].add(q2)
-        # transitive closure (state count is tiny in practice)
+    With ``within``, the search walks pairs (``within`` state, crossing
+    state) and only follows letters ``within`` can read, so it builds just
+    the crossing states that prefixes of words of ``L(within)`` reach.  The
+    result is a partial deterministic automaton that agrees with ``t`` on
+    every word of ``L(within)``.  ``cap`` bounds the crossing states built.
+    """
+    n = t.n_states
+    # per tape symbol, the left and right moves as one row bitmask per state
+    left: dict[str, list[int]] = {}
+    right: dict[str, list[int]] = {}
+    for p, s, d, q in t.transitions:
+        rows = (left if d == LEFT else right).setdefault(s, [0] * n)
+        rows[p] |= 1 << q
+    no_moves = [0] * n
+    finals_mask = 0
+    for f in t.finals:
+        finals_mask |= 1 << f
+
+    def closure(symbol: str, rel: tuple[int, ...]) -> list[int]:
+        """Per state, the states the head can be in on this cell after
+        entering it in that state, dipping left into the prefix any number
+        of times (``rel`` brings each dip back)."""
+        rows = [1 << p | _join(rel, dips) for p, dips in enumerate(left.get(symbol, no_moves))]
         changed = True
         while changed:
             changed = False
-            for p in states_q:
-                extra = set()
-                for m in direct[p]:
-                    extra |= direct[m]
-                if not extra <= direct[p]:
-                    direct[p] |= extra
+            for p, row in enumerate(rows):
+                # _join inlined: this loop is most of the conversion's time
+                grown = row
+                members = row
+                while members:
+                    low = members & -members
+                    grown |= rows[low.bit_length() - 1]
+                    members ^= low
+                if grown != row:
+                    rows[p] = grown
                     changed = True
-        return direct
+        return rows
 
-    def exits_right(symbol: str, reach: dict[int, set[int]]):
-        out: dict[int, set[int]] = {}
-        for p in states_q:
-            acc = set()
-            for m in reach[p]:
-                for d, q in t.moves(m, symbol):
-                    if d == RIGHT:
-                        acc.add(q)
-            out[p] = acc
-        return out
+    def exits(symbol: str, reach: list[int]) -> tuple[int, ...]:
+        moves = right.get(symbol, no_moves)
+        return tuple(_join(moves, row) for row in reach)
+
+    # memoized per relation: its successor per symbol, and the entry states
+    # from which it accepts on the right endmarker
+    successors: dict[tuple[int, ...], dict[str, tuple[int, ...]]] = {}
+    accepting: dict[tuple[int, ...], int] = {}
+
+    def accept_mask(rel: tuple[int, ...]) -> int:
+        mask = accepting.get(rel)
+        if mask is None:
+            reach = closure(RIGHT_END, rel)
+            mask = 0
+            for p, row in enumerate(reach):
+                if row & finals_mask:
+                    mask |= 1 << p
+            accepting[rel] = mask
+        return mask
 
     # behavior over the left endmarker alone
-    base_reach = {p: {p} for p in states_q}
-    end_exits = exits_right(LEFT_END, base_reach)
-    t0 = frozenset((p, q) for p in states_q for q in end_exits[p])
-    e0 = frozenset(end_exits[t.initial])
+    t0 = exits(LEFT_END, [1 << p for p in range(n)])
+    e0 = t0[t.initial]
 
     alphabet = sorted(t.alphabet)
-    index: dict[tuple[frozenset, frozenset], int] = {(e0, t0): 0}
-    queue = deque([(e0, t0)])
+    if within is None:
+        guide_initials = [0]
+        guide_moves = {0: [(symbol, (0,)) for symbol in alphabet]}
+    else:
+        guide = eliminate_epsilon(within)
+        guide_initials = sorted(guide.initials)
+        guide_moves = {
+            g: [(symbol, sorted(guide.step(g, symbol)))
+                for symbol in alphabet if guide.step(g, symbol)]
+            for g in range(guide.n_states)
+        }
+
+    index: dict[tuple[int, tuple[int, ...]], int] = {(e0, t0): 0}
+    seen = {(g, (e0, t0)) for g in guide_initials}
+    queue = deque(sorted(seen))
     transitions = set()
-    finals = set()
-
-    def is_accepting(entry: frozenset[int], rel: frozenset[tuple[int, int]]) -> bool:
-        reach = closure(RIGHT_END, rel)
-        return any(bool(reach[p] & t.finals) for p in entry)
-
     while queue:
-        e, rel = queue.popleft()
-        src = index[(e, rel)]
-        if is_accepting(e, rel):
-            finals.add(src)
-        for symbol in alphabet:
-            reach = closure(symbol, rel)
-            exits = exits_right(symbol, reach)
-            rel2 = frozenset((p, q) for p in states_q for q in exits[p])
-            e2 = frozenset(q for p in e for q in exits[p])
-            key = (e2, rel2)
-            if key not in index:
+        g, key = queue.popleft()
+        e, rel = key
+        src = index[key]
+        succ = successors.setdefault(rel, {})
+        for symbol, guide_next in guide_moves[g]:
+            rel2 = succ.get(symbol)
+            if rel2 is None:
+                rel2 = succ[symbol] = exits(symbol, closure(symbol, rel))
+            key2 = (_join(rel2, e), rel2)
+            if key2 not in index:
                 if len(index) >= cap:
                     raise CapExceeded("two-way conversion", cap)
-                index[key] = len(index)
-                queue.append(key)
-            transitions.add((src, symbol, index[key]))
+                index[key2] = len(index)
+            transitions.add((src, symbol, index[key2]))
+            for g2 in guide_next:
+                if (g2, key2) not in seen:
+                    seen.add((g2, key2))
+                    queue.append((g2, key2))
+    finals = {i for (e, rel), i in index.items() if e & accept_mask(rel)}
     return NWA(len(index), t.alphabet, {0}, finals, transitions)
 
 
@@ -263,5 +303,7 @@ def contains_2rpq(q1: NWA, q2: NWA, cap: int = DEFAULT_TWOWAY_CAP) -> bool:
     """2RPQ containment: L(q1) must fall inside fold(L(q2))."""
     from .automata import contains
 
-    folded = two_to_one(fold_automaton(q2), cap=cap)
+    # only words of L(q1) are ever read against the fold, so the conversion
+    # builds just the crossing states their prefixes reach
+    folded = two_to_one(fold_automaton(q2), cap=cap, within=q1)
     return contains(q1, folded, cap=cap)

@@ -142,6 +142,17 @@ def test_synth_dot_dumps_combined_automata(capsys, tmp_path):
     assert (outdir / "source.dot").exists()
 
 
+def test_synth_dot_dumps_before_a_stopped_search(capsys, tmp_path):
+    outdir = tmp_path / "dots"
+    code, _, err = run(
+        capsys, "synth", "--mode", "exact", "--budget", "2", "--dot", str(outdir), EXACT
+    )
+    assert code == 3
+    assert "budget" in err
+    assert (outdir / "target.dot").read_text(encoding="utf-8").startswith("digraph")
+    assert (outdir / "source.dot").read_text(encoding="utf-8").startswith("digraph")
+
+
 def test_synth_dot_on_cq_instance_is_input_error(capsys, tmp_path):
     outdir = tmp_path / "dots"
     code, _, err = run(capsys, "synth", "--dot", str(outdir), CHAIN_CQ)
@@ -196,6 +207,148 @@ def test_deep_nesting_is_input_error(capsys, tmp_path, command):
     assert code == 2
     assert "nested too deeply" in err
     assert "Traceback" not in err
+
+
+def _unreadable(kind, tmp_path):
+    if kind == "missing":
+        return str(tmp_path / "missing.vs")
+    if kind == "directory":
+        return str(tmp_path)
+    bad = tmp_path / "latin1.vs"
+    bad.write_bytes(b"kind rpq\nsource a\ntarget b\nmap a ~> b # \xe9\xff\n")
+    return str(bad)
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "invalid-utf8"])
+@pytest.mark.parametrize("command", ["synth", "check-views"])
+def test_unreadable_input_is_input_error(capsys, tmp_path, command, kind):
+    path = _unreadable(kind, tmp_path)
+    if command == "synth":
+        argv = ["synth", path]
+    else:
+        argv = ["check", SOUND, "--views", path]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot read {path}: ")
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys):
+    from viewsynth.cli import build_parser
+
+    assert build_parser() is build_parser()
+    code, out, _ = run(capsys, "monoid", "--format", "json", "b1.b2")
+    assert code == 0
+    assert json.loads(out)["monoid"]["size"] == 5
+    with pytest.raises(SystemExit) as exc:
+        main(["monoid", "--format", "yaml", "b1.b2"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, out, _ = run(capsys, "monoid", "b1")
+    assert code == 0
+    assert out.startswith("automaton states: 2\n")
+
+
+# Fragments of the instance, query, views, graph and facts syntax.
+_FUZZ_PIECES = [
+    "a1", "b1", "b2^-", "^-", "^", ".", "|", "+", "*", "(", ")", "eps", "empty",
+    " ", "\n", "kind", "rpq", "cq", "source", "target", "map", "~>", "view",
+    "=", "q(x,y)", ":-", ",", ";", "r(x,z)", "/2", "#", "-b1->", "1",
+]
+
+
+def _fuzz_regex(rng, labels, depth=3):
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice(labels + ["eps", "b1"])
+    op = rng.choice(".|*")
+    left = _fuzz_regex(rng, labels, depth - 1)
+    if op == "*":
+        return f"({left})*"
+    return f"({left}{op}{_fuzz_regex(rng, labels, depth - 1)})"
+
+
+def _fuzz_cq(rng):
+    atoms = [f"{rng.choice('rs')}({rng.choice('xyz')},{rng.choice('xyz')})"
+             for _ in range(rng.randint(1, 2))]
+    return "q(x,y) :- " + ", ".join(atoms)
+
+
+def _fuzz_instance_and_views(rng):
+    kind = rng.choice(["rpq", "rpq", "2rpq", "cq", "ucq"])
+    if kind in ("cq", "ucq"):
+        maps = f"map q(x,y) :- a(x,y) ~> {_fuzz_cq(rng)}\n"
+        return (f"kind {kind}\nsource a/2\ntarget r/2 s/2\n{maps}",
+                f"view a = {_fuzz_cq(rng)}\n")
+    targets = ["b1", "b2"] + (["b1^-", "b2^-"] if kind == "2rpq" else [])
+    maps = "".join(
+        f"map {_fuzz_regex(rng, ['a1', 'a2'])} ~> {_fuzz_regex(rng, targets)}\n"
+        for _ in range(rng.randint(1, 2))
+    )
+    views = "".join(f"view {a} = {_fuzz_regex(rng, targets, 2)}\n" for a in ("a1", "a2"))
+    return f"kind {kind}\nsource a1 a2\ntarget b1 b2\n{maps}", views
+
+
+def _fuzz(rng, text):
+    """``text`` as bytes, often with random pieces spliced in, sometimes
+    replaced by random pieces or by raw bytes."""
+    roll = rng.random()
+    if roll < 0.15:
+        return bytes(rng.randrange(256) for _ in range(rng.randint(0, 12)))
+    if roll < 0.3:
+        text = "".join(rng.choice(_FUZZ_PIECES) for _ in range(rng.randint(0, 10)))
+    for _ in range(rng.choice([0, 0, 1, 2])):
+        at = rng.randint(0, len(text))
+        piece = rng.choice(_FUZZ_PIECES + [chr(rng.randrange(1, 0x3000))])
+        text = text[:at] + piece + text[at:]
+    return text.encode("utf-8", "surrogatepass")
+
+
+def test_cli_fuzz_exits_with_a_documented_code(capsys, tmp_path):
+    import random
+
+    rng = random.Random(97)
+
+    def arg(text):
+        return _fuzz(rng, text).decode("utf-8", "replace")
+
+    small = ["--budget", "200", "--det-cap", "200", "--monoid-cap", "50"]
+    codes = set()
+    for i in range(300):
+        instance, views = _fuzz_instance_and_views(rng)
+        regex = _fuzz_regex(rng, ["b1", "b2", "b1^-"])
+        graph = "".join(f"n{rng.randrange(3)} -{rng.choice(['b1', 'b2'])}-> n{rng.randrange(3)}\n"
+                        for _ in range(3))
+        paths = {}
+        for name, text in (("inst", instance), ("views", views), ("graph", graph),
+                           ("facts", "r 1 2\ns 2 3\n")):
+            paths[name] = tmp_path / f"{i}.{name}"
+            paths[name].write_bytes(_fuzz(rng, text))
+        inst, views_file, graph_file, facts_file = map(str, paths.values())
+        kind = rng.choice(["rpq", "2rpq", "cq", "ucq"])
+        if kind in ("cq", "ucq"):
+            queries = [arg(_fuzz_cq(rng)), arg(_fuzz_cq(rng))]
+        else:
+            queries = [arg(regex), arg(_fuzz_regex(rng, ["b1", "b2", "b2^-"]))]
+        argv = rng.choice([
+            ["contain", "--kind", kind, "--det-cap", "200", *queries],
+            ["monoid", "--monoid-cap", "50", arg(regex)],
+            ["synth", "--mode", rng.choice(["sound", "exact"]), *small, inst],
+            ["check", "--det-cap", "200", inst, "--views", views_file],
+            # random text where a file name belongs
+            ["check", arg(instance), "--views", arg(views)],
+            ["oracle", "eval", "--kind", rng.choice(["rpq", "2rpq"]), graph_file, arg(regex)],
+            ["oracle", "eval-ucq", facts_file, arg(_fuzz_cq(rng))],
+            ["oracle", "brute-exists", "--budget", "200", "--bound", "2", inst],
+            ["oracle", "coherence", "--samples", "2", inst, "--views", views_file],
+        ])
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the command line
+            code = exc.code
+        capsys.readouterr()
+        assert code in (0, 1, 2, 3), argv
+        codes.add(code)
+    assert codes == {0, 1, 2, 3}
 
 
 # --- check ------------------------------------------------------------------------

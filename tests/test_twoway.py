@@ -2,9 +2,13 @@ import random
 
 from viewsynth.model import inverse
 from viewsynth.parser import parse_regex
-from viewsynth.automata import NWA, accepts, compile_regex
+from viewsynth.automata import NWA, accepts, compile_regex, contains
 from viewsynth.oracle import GraphDatabase, enumerate_language, eval_2rpq
 from viewsynth.twoway import (
+    LEFT,
+    LEFT_END,
+    RIGHT,
+    TwoNWA,
     accepts_two,
     contains_2rpq,
     fold_automaton,
@@ -86,6 +90,110 @@ def test_two_to_one_matches_direct_two_way_run():
     one = two_to_one(t)
     for w in all_words({"a", "a^-", "b", "b^-"}, 3):
         assert accepts(one, w) == accepts_two(t, w)
+
+
+# A snapshot of two_to_one(fold_automaton(rx2("a b b^- b c"))): per state,
+# the successor on each symbol of _PINNED_SYMBOLS, so that any renumbering
+# of the unguided construction shows.
+_PINNED_SYMBOLS = ("a", "a^-", "b", "b^-", "c", "c^-")
+_PINNED_ROWS = [
+    (1, 2, 3, 4, 5, 2), (6, 2, 7, 4, 5, 2), (6, 2, 3, 4, 5, 2), (6, 2, 3, 4, 8, 2),
+    (6, 2, 9, 4, 5, 2), (6, 2, 3, 4, 5, 2), (6, 2, 3, 4, 5, 2), (6, 2, 3, 10, 11, 2),
+    (6, 2, 3, 4, 5, 2), (6, 2, 3, 4, 8, 2), (6, 2, 12, 4, 5, 2), (6, 2, 3, 4, 5, 2),
+    (6, 2, 3, 4, 11, 2),
+]
+
+
+def test_two_to_one_numbering_is_pinned():
+    one = two_to_one(fold_automaton(rx2("a b b^- b c")))
+    transitions = sorted(
+        (p, symbol, q)
+        for p, row in enumerate(_PINNED_ROWS)
+        for symbol, q in zip(_PINNED_SYMBOLS, row)
+    )
+    assert (one.n_states, sorted(one.finals), sorted(one.transitions)) == (
+        13, [11], transitions
+    )
+    assert one.initials == {0}
+
+
+def test_two_to_one_follows_repeated_turns_on_one_cell():
+    # on "x y" the head goes back from y to x and returns three times, in
+    # states numbered upwards (2 -> 3 -> 4 -> 5), before it may leave y
+    transitions = {(0, LEFT_END, RIGHT, 1), (1, "x", RIGHT, 2), (5, "y", RIGHT, 9)}
+    for j in range(3):
+        transitions |= {(2 + j, "y", LEFT, 6 + j), (6 + j, "x", RIGHT, 3 + j)}
+    t = TwoNWA(10, {"x", "y"}, 0, {9}, transitions)
+    for within in (None, compile_regex(parse_regex("x y", None))):
+        one = two_to_one(t, within=within)
+        assert accepts(one, ("x", "y")) and accepts_two(t, ("x", "y"))
+        assert not accepts(one, ("x", "x")) and not accepts(one, ("y",))
+
+
+LABELS_2 = ("a", "b", "c", "a^-", "b^-", "c^-")
+
+
+def _random_query_tree(rng, leaves):
+    """A random regex tree over ``LABELS_2`` with ``leaves`` symbol leaves."""
+    parts = [rng.choice(LABELS_2) for _ in range(leaves)]
+    while len(parts) > 1:
+        i = rng.randrange(len(parts) - 1)
+        node = (rng.choice(".|"), parts[i], parts[i + 1])
+        if rng.random() < 0.15:
+            node = ("*", node)
+        parts[i : i + 2] = [node]
+    return parts[0]
+
+
+def _render(node, rng=None):
+    """The tree as regex text; with ``rng``, some leaves are widened to a
+    query that contains them: x|y, x* or the detour x.x^-.x."""
+    if isinstance(node, str):
+        roll = rng.random() if rng is not None else 1.0
+        if roll < 0.15:
+            return f"({node}|{rng.choice(LABELS_2)})"
+        if roll < 0.25:
+            return f"({node})*"
+        if roll < 0.4:
+            return f"({node}.{inverse(node)}.{node})"
+        return node
+    if node[0] == "*":
+        return f"({_render(node[1], rng)})*"
+    return f"({_render(node[1], rng)}{node[0]}{_render(node[2], rng)})"
+
+
+def _random_2rpq_pairs(rng, count):
+    """(q1, q2) pairs of random two-way path queries; every other q2 widens
+    its q1, so that containment holds."""
+    for i in range(count):
+        tree = _random_query_tree(rng, rng.randint(2, 6))
+        if i % 2 == 0:
+            yield rx2(_render(tree)), rx2(_render(tree, rng))
+        else:
+            yield rx2(_render(tree)), rx2(_render(_random_query_tree(rng, rng.randint(1, 5))))
+
+
+def test_guided_containment_agrees_with_the_full_construction():
+    rng = random.Random(41)
+    verdicts = []
+    for q1, q2 in _random_2rpq_pairs(rng, 120):
+        full = contains(q1, two_to_one(fold_automaton(q2)))
+        assert contains_2rpq(q1, q2) == full, (q1, q2)
+        verdicts.append(full)
+    assert verdicts.count(True) >= 40 and verdicts.count(False) >= 40
+
+
+def test_guided_conversion_agrees_with_the_two_way_run_on_guide_words():
+    rng = random.Random(43)
+    outcomes = []
+    for q1, q2 in _random_2rpq_pairs(rng, 40):
+        t = fold_automaton(q2)
+        one = two_to_one(t, within=q1)
+        words = enumerate_language(q1, 5, cap=100_000)
+        for w in rng.sample(words, min(len(words), 12)):
+            assert accepts(one, w) == accepts_two(t, w), (q1, q2, w)
+            outcomes.append(accepts_two(t, w))
+    assert outcomes.count(True) >= 40 and outcomes.count(False) >= 40
 
 
 def random_two_way_nwa(rng, labels):
