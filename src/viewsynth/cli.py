@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -44,27 +43,11 @@ from .rpq_synth import (
 from .twoway import contains_2rpq
 
 
-def _env_int(name: str, default: int) -> int:
-    value = os.environ.get(name)
-    if value is None:
-        return default
-    try:
-        return int(value)
-    except ValueError:
-        raise InputError(f"environment variable {name} is not an integer: {value!r}")
-
-
 _OPTIONS = {
-    "--det-cap": dict(type=int, default=None, help="determinization state cap"),
-    "--monoid-cap": dict(type=int, default=None, help="monoid element cap"),
-    "--budget": dict(type=int, default=None, help="search budget"),
+    "--det-cap": dict(type=int, default=DEFAULT_DET_CAP, help="determinization state cap"),
+    "--monoid-cap": dict(type=int, default=DEFAULT_MONOID_CAP, help="monoid element cap"),
+    "--budget": dict(type=int, default=DEFAULT_SEARCH_BUDGET, help="search budget"),
     "--dot": dict(metavar="DIR", default=None, help="dump automata as DOT files"),
-}
-
-_CAP_DEFAULTS = {
-    "det_cap": ("VIEWSYNTH_DET_CAP", DEFAULT_DET_CAP),
-    "monoid_cap": ("VIEWSYNTH_MONOID_CAP", DEFAULT_MONOID_CAP),
-    "budget": ("VIEWSYNTH_BUDGET", DEFAULT_SEARCH_BUDGET),
 }
 
 
@@ -149,12 +132,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cap(args, name: str) -> int:
-    """The option ``name`` (``det_cap``, ``monoid_cap`` or ``budget``), else
-    its environment variable, else its default."""
+    """The option ``name`` (``det_cap``, ``monoid_cap`` or ``budget``)."""
     value = getattr(args, name)
-    if value is None:
-        env, default = _CAP_DEFAULTS[name]
-        value = _env_int(env, default)
     if value <= 0:
         raise InputError("caps and budgets must be positive")
     return value
@@ -183,9 +162,13 @@ def _dump_dot(args, automata: dict[str, "object"]) -> None:
     if not args.dot:
         return
     outdir = Path(args.dot)
-    outdir.mkdir(parents=True, exist_ok=True)
-    for name, nwa in automata.items():
-        (outdir / f"{name}.dot").write_text(to_dot(nwa, name), encoding="utf-8")
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        for name, nwa in automata.items():
+            (outdir / f"{name}.dot").write_text(to_dot(nwa, name), encoding="utf-8")
+    except (OSError, ValueError) as exc:
+        # ValueError covers a NUL in the path
+        raise InputError(f"cannot write DOT files to {args.dot}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,17 @@ from .automata import DWA, NWA
 DEFAULT_MONOID_CAP = 100_000
 
 
+def image(rows, members: int) -> int:
+    """The union of ``rows[i]`` over the bits ``i`` set in ``members``: the
+    states a relation given as bitset rows reaches from the set ``members``."""
+    acc = 0
+    while members:
+        low = members & -members
+        acc |= rows[low.bit_length() - 1]
+        members ^= low
+    return acc
+
+
 @dataclass(frozen=True)
 class StateRelation:
     """A binary relation over ``n`` automaton states, stored as bitset rows.
@@ -67,16 +78,7 @@ class StateRelation:
         """Relational composition (boolean matrix product)."""
         if self.n != other.n:
             raise InputError("relation dimensions differ")
-        rows = []
-        for row in self.rows:
-            acc = 0
-            r = row
-            while r:
-                low = r & -r
-                acc |= other.rows[low.bit_length() - 1]
-                r ^= low
-            rows.append(acc)
-        return StateRelation(self.n, tuple(rows))
+        return StateRelation(self.n, tuple(image(other.rows, row) for row in self.rows))
 
 
 def relation_of_word(a: NWA, word: Word) -> StateRelation:
@@ -117,7 +119,6 @@ class TransitionMonoid:
     elements: tuple[StateRelation, ...]
     witnesses: tuple[Word, ...]
     identity_index: int
-    generator_index: dict[str, int] = field(compare=False)
     _index_of: dict[int, int] = field(compare=False)
     _right_mul: dict[tuple[int, str], int] = field(compare=False)
     _compose_cache: dict[tuple[int, int], int] = field(compare=False)
@@ -193,35 +194,31 @@ def transition_monoid(
     discovered: dict[int, tuple[StateRelation, Word]] = {
         identity.encoding: (identity, ())
     }
+    products: dict[tuple[int, str], int] = {}  # (code, generator) -> code of the product
     queue: deque[int] = deque([identity.encoding])
     while queue:
         code = queue.popleft()
         rel, word = discovered[code]
         for g in alphabet:
             nxt = rel.compose(gen_rel[g])
-            if nxt.encoding not in discovered:
+            nxt_code = products[(code, g)] = nxt.encoding
+            if nxt_code not in discovered:
                 if len(discovered) >= cap:
                     raise CapExceeded("transition monoid", cap)
-                discovered[nxt.encoding] = (nxt, word + (g,))
-                queue.append(nxt.encoding)
+                discovered[nxt_code] = (nxt, word + (g,))
+                queue.append(nxt_code)
 
     ordered = sorted(discovered)
     elements = tuple(discovered[c][0] for c in ordered)
     witnesses = tuple(discovered[c][1] for c in ordered)
     index_of = {c: i for i, c in enumerate(ordered)}
-    right_mul = {
-        (i, g): index_of[e.compose(gen_rel[g]).encoding]
-        for i, e in enumerate(elements)
-        for g in alphabet
-    }
-    generator_index = {g: index_of[gen_rel[g].encoding] for g in alphabet}
+    right_mul = {(index_of[c], g): index_of[prod] for (c, g), prod in products.items()}
     return TransitionMonoid(
         n=n,
         alphabet=alphabet,
         elements=elements,
         witnesses=witnesses,
         identity_index=index_of[identity.encoding],
-        generator_index=generator_index,
         _index_of=index_of,
         _right_mul=right_mul,
         _compose_cache={},

@@ -305,6 +305,7 @@ class CqMappingCheck:
 class CqStats:
     mode: str
     view_kind: str
+    # options searched per symbol; kept for tracing, not in the JSON report
     candidates_per_symbol: dict[str, int] = field(default_factory=dict)
     checks: int = 0
     elapsed: float = 0.0
@@ -313,7 +314,6 @@ class CqStats:
         return {
             "mode": self.mode,
             "view_kind": self.view_kind,
-            "candidates_per_symbol": dict(sorted(self.candidates_per_symbol.items())),
         }
 
 
@@ -385,13 +385,20 @@ def synthesize_cq(
 ) -> CqSynthesisReport:
     """Search candidate views in canonical order; first passing wins.
 
-    ``view_kind`` selects single-CQ or UCQ views.  For sound existence the
-    two agree (a capturing UCQ view thins to one of its disjuncts); exact
-    existence genuinely differs.  The search per symbol starts from the
-    undefined view, then candidates that are locally sound (containment
-    holds with all other symbols undefined; a violation there survives any
-    extension, so the filter is lossless).  With ``find_all`` every passing
-    assignment is collected, subject to the budget.
+    ``view_kind`` selects single-CQ or UCQ views.  The search per symbol
+    starts from the undefined view, then candidates that are locally sound
+    (containment holds with all other symbols undefined; a violation there
+    survives any extension, so the filter is lossless), then, for UCQ views,
+    unions of those candidates.  With ``find_all`` every passing assignment
+    is collected, subject to the budget.
+
+    Sound mode without ``find_all`` never builds unions: a capturing UCQ
+    view thins to any one of its disjuncts and still captures.  Sound
+    containment survives, because (U)CQs are monotone and the substituted
+    source loses disjuncts; nonemptiness survives, because it depends only
+    on which views are defined.  That disjunct comes before every union in
+    the option order, so even a search with unions finds a union-free first
+    solution.  Exact existence genuinely differs between the two kinds.
     """
     if instance.kind not in ("cq", "ucq"):
         raise InputError(f"synthesize_cq supports cq/ucq instances, not {instance.kind}")
@@ -430,14 +437,12 @@ def synthesize_cq(
             instance.symbols[sym].arity, target_schema, bounds
         )
         plausible = [v for v in singles if sound_prefix_ok({sym: v})]
-        opts: list[CqView] = [None]
-        if view_kind == "cq":
-            opts.extend(plausible)
-        else:
-            for size in range(1, bounds.disjunct_bound + 1):
+        opts: list[CqView] = [None, *plausible]
+        if view_kind == "ucq" and (mode == "exact" or find_all):
+            for size in range(2, bounds.disjunct_bound + 1):
                 for combo in itertools.combinations(plausible, size):
-                    view = combo[0] if size == 1 else UCQ(combo)
-                    if size == 1 or sound_prefix_ok({sym: view}):
+                    view = UCQ(combo)
+                    if sound_prefix_ok({sym: view}):
                         opts.append(view)
         options[sym] = opts
         stats.candidates_per_symbol[sym] = len(opts)

@@ -231,16 +231,6 @@ def enumerate_language(a: NWA, max_len: int, cap: int | None = None) -> list[Wor
     return out
 
 
-def nfa_accepts(a: NWA, word: Word) -> bool:
-    a = eliminate_epsilon(a)
-    states = set(a.initials)
-    for label in word:
-        states = set(a.step_set(states, label))
-        if not states:
-            return False
-    return bool(states & a.finals)
-
-
 def nfa_contained_brute(a: NWA, b: NWA) -> bool:
     """Containment by searching the joint subset graph for a counterexample.
 
@@ -310,9 +300,6 @@ def _stabilization_length(targets: list[NWA], alphabet, max_len: int) -> int:
     lengths, every longer word behaves like a shorter one inside every
     target automaton, so capture checks never need longer view words.
     """
-    def signature(words_states):
-        return tuple(frozenset(ws) for ws in words_states)
-
     def relation(word):
         rels = []
         for t in targets:

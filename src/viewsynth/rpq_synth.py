@@ -43,6 +43,7 @@ from .congruence import (
     DEFAULT_MONOID_CAP,
     TransitionMonoid,
     class_automaton,
+    image,
     relation_of_word,
     transition_monoid,
 )
@@ -396,27 +397,17 @@ class _ClassCapture:
                     return True, False
             for sym, rows, q in edges[p]:
                 if sym is None:
-                    images = (_image(reach, rows),)
+                    images = (image(rows, reach),)
                 else:
                     view = views.get(sym)
                     if view is None or view.classes is None:
                         continue
-                    images = {_image(reach, class_rows[e]) for e in view.classes}
+                    images = {image(class_rows[e], reach) for e in view.classes}
                 for nxt in images:
                     if (q, nxt) not in seen:
                         seen.add((q, nxt))
                         stack.append((q, nxt))
         return nonempty, True
-
-
-def _image(reach: int, rows: tuple[int, ...]) -> int:
-    """States reached from the set ``reach`` by a relation given as rows."""
-    out = 0
-    while reach:
-        low = reach & -reach
-        out |= rows[low.bit_length() - 1]
-        reach ^= low
-    return out
 
 
 # ---------------------------------------------------------------------------

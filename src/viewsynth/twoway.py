@@ -21,6 +21,7 @@ from collections import deque
 from .errors import CapExceeded, InputError
 from .model import Word, inverse
 from .automata import NWA, eliminate_epsilon
+from .congruence import image
 
 LEFT_END = "⊢"   # ⊢
 RIGHT_END = "⊣"  # ⊣
@@ -176,16 +177,6 @@ def fold_automaton(a: NWA) -> TwoNWA:
 # Two-way to one-way (crossing-relation construction)
 # ---------------------------------------------------------------------------
 
-def _join(rows, members: int) -> int:
-    """The union of ``rows[i]`` over the bits ``i`` set in ``members``."""
-    acc = 0
-    while members:
-        low = members & -members
-        acc |= rows[low.bit_length() - 1]
-        members ^= low
-    return acc
-
-
 def two_to_one(t: TwoNWA, cap: int = DEFAULT_TWOWAY_CAP, within: NWA | None = None) -> NWA:
     """An equivalent one-way NWA, via Shepherdson-style crossing summaries.
 
@@ -218,12 +209,12 @@ def two_to_one(t: TwoNWA, cap: int = DEFAULT_TWOWAY_CAP, within: NWA | None = No
         """Per state, the states the head can be in on this cell after
         entering it in that state, dipping left into the prefix any number
         of times (``rel`` brings each dip back)."""
-        rows = [1 << p | _join(rel, dips) for p, dips in enumerate(left.get(symbol, no_moves))]
+        rows = [1 << p | image(rel, dips) for p, dips in enumerate(left.get(symbol, no_moves))]
         changed = True
         while changed:
             changed = False
             for p, row in enumerate(rows):
-                # _join inlined: this loop is most of the conversion's time
+                # image inlined: this loop is most of the conversion's time
                 grown = row
                 members = row
                 while members:
@@ -237,7 +228,7 @@ def two_to_one(t: TwoNWA, cap: int = DEFAULT_TWOWAY_CAP, within: NWA | None = No
 
     def exits(symbol: str, reach: list[int]) -> tuple[int, ...]:
         moves = right.get(symbol, no_moves)
-        return tuple(_join(moves, row) for row in reach)
+        return tuple(image(moves, row) for row in reach)
 
     # memoized per relation: its successor per symbol, and the entry states
     # from which it accepts on the right endmarker
@@ -285,7 +276,7 @@ def two_to_one(t: TwoNWA, cap: int = DEFAULT_TWOWAY_CAP, within: NWA | None = No
             rel2 = succ.get(symbol)
             if rel2 is None:
                 rel2 = succ[symbol] = exits(symbol, closure(symbol, rel))
-            key2 = (_join(rel2, e), rel2)
+            key2 = (image(rel2, e), rel2)
             if key2 not in index:
                 if len(index) >= cap:
                     raise CapExceeded("two-way conversion", cap)

@@ -115,9 +115,8 @@ def test_synth_2rpq_rejected(capsys, tmp_path):
     assert "2rpq" in err
 
 
-def test_env_var_cap_override(capsys, monkeypatch):
-    monkeypatch.setenv("VIEWSYNTH_MONOID_CAP", "2")
-    code, _, err = run(capsys, "synth", SOUND)
+def test_monoid_cap_option_exit_3(capsys):
+    code, _, err = run(capsys, "synth", "--monoid-cap", "2", SOUND)
     assert code == 3
     assert "monoid" in err
 
@@ -233,6 +232,23 @@ def test_unreadable_input_is_input_error(capsys, tmp_path, command, kind):
     assert err.startswith(f"error: cannot read {path}: ")
 
 
+@pytest.mark.parametrize("below_a_file", [False, True], ids=["a-file", "below-a-file"])
+@pytest.mark.parametrize("command", ["contain", "monoid", "synth"])
+def test_uncreatable_dot_dir_is_input_error(capsys, tmp_path, command, below_a_file):
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    outdir = str(taken / "dots" if below_a_file else taken)
+    argv = {
+        "contain": ["contain", "--dot", outdir, "b1", "b1|b2"],
+        "monoid": ["monoid", "--dot", outdir, "b1.b2"],
+        "synth": ["synth", "--dot", outdir, SOUND],
+    }[command]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write DOT files to {outdir}: ")
+
+
 def test_parser_is_built_once_and_keeps_no_state(capsys):
     from viewsynth.cli import build_parser
 
@@ -324,15 +340,17 @@ def test_cli_fuzz_exits_with_a_documented_code(capsys, tmp_path):
             paths[name] = tmp_path / f"{i}.{name}"
             paths[name].write_bytes(_fuzz(rng, text))
         inst, views_file, graph_file, facts_file = map(str, paths.values())
+        # a DOT directory that cannot be created: an existing file, or below one
+        dot = ["--dot", rng.choice([inst, f"{inst}/dots"])] if rng.random() < 0.2 else []
         kind = rng.choice(["rpq", "2rpq", "cq", "ucq"])
         if kind in ("cq", "ucq"):
             queries = [arg(_fuzz_cq(rng)), arg(_fuzz_cq(rng))]
         else:
             queries = [arg(regex), arg(_fuzz_regex(rng, ["b1", "b2", "b2^-"]))]
         argv = rng.choice([
-            ["contain", "--kind", kind, "--det-cap", "200", *queries],
-            ["monoid", "--monoid-cap", "50", arg(regex)],
-            ["synth", "--mode", rng.choice(["sound", "exact"]), *small, inst],
+            ["contain", "--kind", kind, "--det-cap", "200", *dot, *queries],
+            ["monoid", "--monoid-cap", "50", *dot, arg(regex)],
+            ["synth", "--mode", rng.choice(["sound", "exact"]), *small, *dot, inst],
             ["check", "--det-cap", "200", inst, "--views", views_file],
             # random text where a file name belongs
             ["check", arg(instance), "--views", arg(views)],

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from viewsynth.errors import InputError
+from viewsynth.errors import BudgetExceeded, InputError
 from viewsynth.model import Atom, CQ, UCQ
 from viewsynth.parser import parse_cq, parse_instance, parse_ucq
 from viewsynth.cq_synth import (
@@ -248,6 +248,45 @@ def test_sound_existence_same_for_cq_and_ucq_views_small():
         with_cq = synthesize_cq(inst, "sound", view_kind="cq", budget=400_000)
         with_ucq = synthesize_cq(inst, "sound", view_kind="ucq", budget=400_000)
         assert with_cq.outcome == with_ucq.outcome
+
+
+def test_sound_ucq_answer_is_the_cq_answer_and_the_first_of_all():
+    """Sound mode thins a capturing UCQ view to one disjunct, so ``ucq``
+    answers as ``cq`` does; ``find_all`` still enumerates unions, after the
+    single views, so its first solution is that same answer."""
+    from viewsynth.oracle import random_ucq_instance
+
+    def answer(report):
+        return {k: v for k, v in report.to_json().items() if k != "statistics"}
+
+    rng = random.Random(61)
+    decided = with_unions = 0
+    for _ in range(20):
+        inst = random_ucq_instance(rng)
+        with_ucq = synthesize_cq(inst, "sound", view_kind="ucq")
+        assert answer(with_ucq) == answer(synthesize_cq(inst, "sound", view_kind="cq"))
+        try:
+            every = synthesize_cq(inst, "sound", view_kind="ucq", find_all=True, budget=3000)
+        except BudgetExceeded:
+            continue
+        decided += 1
+        first = every.all_views[0] if every.found else None
+        assert (with_ucq.outcome, with_ucq.views) == (every.outcome, first)
+        with_unions += any(
+            isinstance(v, UCQ) for views in every.all_views or () for v in views.values()
+        )
+    assert decided >= 15
+    assert with_unions >= 4
+
+
+def test_sound_all_still_lists_union_views():
+    inst = parse_instance(
+        "kind ucq\nsource a/2\ntarget r/2 s/2\n"
+        "map q(x,y) :- a(x,y) ~> q(x,y) :- r(x,y) ; q(x,y) :- s(x,y)\n"
+    )
+    assert not isinstance(synthesize_cq(inst, "sound", view_kind="ucq").views["a"], UCQ)
+    every = synthesize_cq(inst, "sound", view_kind="ucq", find_all=True)
+    assert any(isinstance(views["a"], UCQ) for views in every.all_views)
 
 
 def test_found_views_verified_semantically(chain_cq):
