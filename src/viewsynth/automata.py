@@ -92,18 +92,6 @@ class NWA:
             set(self.transitions) | extra,
         )
 
-    def to_json(self):
-        one = self.with_single_initial()
-        return {
-            "states": one.n_states,
-            "alphabet": sorted(one.alphabet),
-            "initial": min(one.initials),
-            "finals": sorted(one.finals),
-            "transitions": sorted(
-                [p, a if a is not None else "", q] for p, a, q in one.transitions
-            ),
-        }
-
     def __repr__(self):
         return (
             f"NWA(states={self.n_states}, |transitions|={len(self.transitions)}, "

@@ -35,6 +35,7 @@ from .oracle import (
 )
 from .rpq_synth import (
     DEFAULT_SEARCH_BUDGET,
+    CaptureResult,
     RpqView,
     capture_check,
     reduce_to_single_mapping,
@@ -171,6 +172,16 @@ def _dump_dot(args, automata: dict[str, "object"]) -> None:
         raise InputError(f"cannot write DOT files to {args.dot}: {exc}") from None
 
 
+def _solution_lines(views: dict[str, str], all_views: "list[dict[str, str]] | None"):
+    """``view SYM = VIEW`` lines of the rendered first solution, then of each
+    further solution of ``--all`` under a ``-- solution N --`` header."""
+    lines = [f"view {sym} = {text}" for sym, text in sorted(views.items())]
+    for i, more in enumerate((all_views or [])[1:], start=2):
+        lines.append(f"-- solution {i} --")
+        lines += [f"view {sym} = {text}" for sym, text in sorted(more.items())]
+    return lines
+
+
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -200,24 +211,7 @@ def cmd_synth(args) -> int:
             monoid_cap=monoid_cap,
             budget=budget,
         )
-        lines = [f"outcome: {report.outcome}"]
-        if report.found:
-            for sym, regex in sorted(report.views_regex.items()):
-                lines.append(f"view {sym} = {regex.render()}")
-            if report.all_views_regex is not None and len(report.all_views_regex) > 1:
-                for i, views in enumerate(report.all_views_regex[1:], start=2):
-                    lines.append(f"-- solution {i} --")
-                    for sym, regex in sorted(views.items()):
-                        lines.append(f"view {sym} = {regex.render()}")
-            stats = report.stats
-            lines.append(
-                f"tried {stats.assignments_tried} assignment(s), "
-                f"monoid size {stats.monoid_size}, {stats.elapsed:.3f}s"
-            )
-        _emit(args, report.to_json(), "\n".join(lines))
-        return 0 if report.found else 1
-
-    if instance.kind in ("cq", "ucq"):
+    elif instance.kind in ("cq", "ucq"):
         if args.maximal:
             raise InputError("maximal views are computed for rpq instances only")
         if args.dot:
@@ -226,21 +220,21 @@ def cmd_synth(args) -> int:
             instance, mode, view_kind=args.view_kind, budget=budget,
             find_all=args.find_all,
         )
-        lines = [f"outcome: {report.outcome}"]
-        if report.found:
-            for sym, view in sorted(report.views.items()):
-                rendered = "undefined" if view is None else view.render()
-                lines.append(f"view {sym} = {rendered}")
-            if report.all_views is not None and len(report.all_views) > 1:
-                for i, views in enumerate(report.all_views[1:], start=2):
-                    lines.append(f"-- solution {i} --")
-                    for sym, view in sorted(views.items()):
-                        rendered = "undefined" if view is None else view.render()
-                        lines.append(f"view {sym} = {rendered}")
-        _emit(args, report.to_json(), "\n".join(lines))
-        return 0 if report.found else 1
+    else:
+        raise InputError("synthesis for 2rpq views is not supported (containment only)")
 
-    raise InputError("synthesis for 2rpq views is not supported (containment only)")
+    payload = report.to_json()
+    lines = [f"outcome: {report.outcome}"]
+    if report.found:
+        lines += _solution_lines(payload["views"], payload.get("all_views"))
+        if instance.kind == "rpq":
+            stats = report.stats
+            lines.append(
+                f"tried {stats.assignments_tried} assignment(s), "
+                f"monoid size {stats.monoid_size}, {stats.elapsed:.3f}s"
+            )
+    _emit(args, payload, "\n".join(lines))
+    return 0 if report.found else 1
 
 
 def cmd_check(args) -> int:
@@ -259,32 +253,24 @@ def cmd_check(args) -> int:
             for sym, q in views_q.items()
         }
         result = capture_check(instance, views, None, mode, det_cap)
-        lines = [f"capture: {'holds' if result.ok else 'fails'} ({mode})"]
-        for i, rec in enumerate(result.per_mapping):
-            status = "ok" if rec.ok(mode) else "violated"
-            lines.append(f"mapping {i}: {status}")
-            if rec.witness is not None:
-                lines.append(f"  nonempty witness: {' '.join(rec.witness) or 'eps'}")
-            if rec.separating is not None:
-                lines.append(f"  separating word: {' '.join(rec.separating) or 'eps'}")
-            if mode == "exact" and rec.reverse_separating is not None:
-                word = " ".join(rec.reverse_separating) or "eps"
-                lines.append(f"  missing from rewriting: {word}")
-        _emit(args, result.to_json(), "\n".join(lines))
-        return 0 if result.ok else 1
+    else:
+        result = CaptureResult(mode, capture_check_cq(instance, views_q, mode))
 
-    records = capture_check_cq(instance, views_q, mode)
-    ok = all(r.ok(mode) for r in records)
-    lines = [f"capture: {'holds' if ok else 'fails'} ({mode})"]
-    for i, rec in enumerate(records):
-        lines.append(f"mapping {i}: {'ok' if rec.ok(mode) else 'violated'}")
-    payload = {
-        "ok": ok,
-        "mode": mode,
-        "mappings": [r.to_json(mode) for r in records],
-    }
-    _emit(args, payload, "\n".join(lines))
-    return 0 if ok else 1
+    lines = [f"capture: {'holds' if result.ok else 'fails'} ({mode})"]
+    for i, rec in enumerate(result.per_mapping):
+        status = "ok" if rec.ok(mode) else "violated"
+        lines.append(f"mapping {i}: {status}")
+        if instance.kind in ("cq", "ucq"):
+            continue
+        if rec.witness is not None:
+            lines.append(f"  nonempty witness: {' '.join(rec.witness) or 'eps'}")
+        if rec.separating is not None:
+            lines.append(f"  separating word: {' '.join(rec.separating) or 'eps'}")
+        if mode == "exact" and rec.reverse_separating is not None:
+            word = " ".join(rec.reverse_separating) or "eps"
+            lines.append(f"  missing from rewriting: {word}")
+    _emit(args, result.to_json(), "\n".join(lines))
+    return 0 if result.ok else 1
 
 
 def cmd_contain(args) -> int:

@@ -123,9 +123,6 @@ class TransitionMonoid:
     _right_mul: dict[tuple[int, str], int] = field(compare=False)
     _compose_cache: dict[tuple[int, int], int] = field(compare=False)
 
-    def __len__(self) -> int:
-        return len(self.elements)
-
     def index_of(self, relation: StateRelation) -> int:
         idx = self._index_of.get(relation.encoding)
         if idx is None:

@@ -12,7 +12,6 @@ enumerated once.
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass, field
 
 from .errors import BudgetExceeded, InputError
@@ -253,10 +252,7 @@ def enumerate_view_candidates(
     candidates: set[CQ] = set()
     for head in _head_patterns(arity):
         head_vars = sorted(set(head))
-        n_exist = max(
-            0,
-            min(bounds.variable_bound, bounds.atom_bound * max_arity) - len(head_vars),
-        )
+        n_exist = max(0, bounds.atom_bound * max_arity - len(head_vars))
         pool = head_vars + [f"e{i}" for i in range(n_exist)]
         universe = sorted(
             Atom(pred, args)
@@ -308,7 +304,6 @@ class CqStats:
     # options searched per symbol; kept for tracing, not in the JSON report
     candidates_per_symbol: dict[str, int] = field(default_factory=dict)
     checks: int = 0
-    elapsed: float = 0.0
 
     def to_json(self):
         return {
@@ -389,8 +384,10 @@ def synthesize_cq(
     starts from the undefined view, then candidates that are locally sound
     (containment holds with all other symbols undefined; a violation there
     survives any extension, so the filter is lossless), then, for UCQ views,
-    unions of those candidates.  With ``find_all`` every passing assignment
-    is collected, subject to the budget.
+    unions of those candidates.  A union with one disjunct contained in
+    another is skipped: it equals the smaller union without that disjunct,
+    which comes earlier and passes the same checks.  With ``find_all`` every
+    passing assignment is collected, subject to the budget.
 
     Sound mode without ``find_all`` never builds unions: a capturing UCQ
     view thins to any one of its disjuncts and still captures.  Sound
@@ -405,7 +402,6 @@ def synthesize_cq(
     if view_kind not in ("cq", "ucq"):
         raise InputError(f"unknown view kind {view_kind!r}")
     mode = mode or instance.mode
-    started = time.monotonic()
     bounds = bounds_for(instance)
     stats = CqStats(mode=mode, view_kind=view_kind)
     source_preds = set(instance.source_names)
@@ -441,6 +437,8 @@ def synthesize_cq(
         if view_kind == "ucq" and (mode == "exact" or find_all):
             for size in range(2, bounds.disjunct_bound + 1):
                 for combo in itertools.combinations(plausible, size):
+                    if any(cq_contained(a, b) for a, b in itertools.permutations(combo, 2)):
+                        continue
                     view = UCQ(combo)
                     if sound_prefix_ok({sym: view}):
                         opts.append(view)
@@ -466,7 +464,6 @@ def synthesize_cq(
         solutions.append(solution)
         if not find_all:
             break
-    stats.elapsed = time.monotonic() - started
     if not solutions:
         return CqSynthesisReport("not-found", None, None, bounds, stats)
     assignment, records = solutions[0]

@@ -2,7 +2,7 @@
 
 All values here are immutable after construction and safe to share across
 threads.  Parsing lives in :mod:`viewsynth.parser`; this module only defines
-the shapes and their printers / JSON mirrors.
+the shapes and their printers.
 """
 
 from __future__ import annotations
@@ -69,9 +69,6 @@ class Regex:
     def render(self) -> str:
         return _render(self, 0)
 
-    def to_json(self):
-        raise NotImplementedError
-
     def __repr__(self):
         return f"{type(self).__name__}({self.render()!r})"
 
@@ -81,17 +78,11 @@ class REmpty(Regex):
     def symbols(self):
         return iter(())
 
-    def to_json(self):
-        return {"op": "empty"}
-
 
 @dataclass(frozen=True, repr=False)
 class REps(Regex):
     def symbols(self):
         return iter(())
-
-    def to_json(self):
-        return {"op": "eps"}
 
 
 @dataclass(frozen=True, repr=False)
@@ -100,9 +91,6 @@ class RSym(Regex):
 
     def symbols(self):
         yield self.label
-
-    def to_json(self):
-        return {"op": "sym", "label": self.label}
 
 
 @dataclass(frozen=True, repr=False)
@@ -113,9 +101,6 @@ class RCat(Regex):
         for p in self.parts:
             yield from p.symbols()
 
-    def to_json(self):
-        return {"op": "concat", "parts": [p.to_json() for p in self.parts]}
-
 
 @dataclass(frozen=True, repr=False)
 class RAlt(Regex):
@@ -125,9 +110,6 @@ class RAlt(Regex):
         for p in self.parts:
             yield from p.symbols()
 
-    def to_json(self):
-        return {"op": "union", "parts": [p.to_json() for p in self.parts]}
-
 
 @dataclass(frozen=True, repr=False)
 class RStar(Regex):
@@ -135,9 +117,6 @@ class RStar(Regex):
 
     def symbols(self):
         return self.inner.symbols()
-
-    def to_json(self):
-        return {"op": "star", "inner": self.inner.to_json()}
 
 
 EMPTY = REmpty()
@@ -221,9 +200,6 @@ class Atom:
     def render(self) -> str:
         return f"{self.pred}({','.join(self.args)})"
 
-    def to_json(self):
-        return {"pred": self.pred, "args": list(self.args)}
-
 
 @dataclass(frozen=True)
 class CQ:
@@ -257,9 +233,6 @@ class CQ:
         body = ", ".join(a.render() for a in self.atoms)
         return f"{head_name}({','.join(self.head)}) :- {body}"
 
-    def to_json(self):
-        return {"head": list(self.head), "atoms": [a.to_json() for a in self.atoms]}
-
 
 @dataclass(frozen=True)
 class UCQ:
@@ -287,9 +260,6 @@ class UCQ:
     def render(self) -> str:
         return " ; ".join(d.render() for d in self.disjuncts)
 
-    def to_json(self):
-        return {"disjuncts": [d.to_json() for d in self.disjuncts]}
-
 
 Query = Union[Regex, UCQ]
 
@@ -307,14 +277,6 @@ class Mapping:
 
     def render(self) -> str:
         return f"{self.source.render()} ~> {self.target.render()}"
-
-    def to_json(self):
-        return {
-            "source": self.source.to_json(),
-            "source_text": self.source.render(),
-            "target": self.target.to_json(),
-            "target_text": self.target.render(),
-        }
 
 
 PATH_KINDS = ("rpq", "2rpq")
@@ -347,9 +309,6 @@ class ProblemInstance:
     def target_names(self) -> tuple[str, ...]:
         return tuple(sorted(n for n, s in self.symbols.items() if s.kind == "target"))
 
-    def arity_of(self, name: str) -> int:
-        return self.symbols[name].arity
-
     def occurring_source_symbols(self) -> tuple[str, ...]:
         """Source symbols that actually appear in some source query."""
         src = set(self.source_names)
@@ -360,18 +319,3 @@ class ProblemInstance:
             else:
                 seen.update(base_label(s) for s in m.source.symbols() if base_label(s) in src)
         return tuple(sorted(seen))
-
-    def to_json(self):
-        return {
-            "kind": self.kind,
-            "mode": self.mode,
-            "source": [
-                {"name": s.name, "arity": s.arity}
-                for s in (self.symbols[n] for n in self.source_names)
-            ],
-            "target": [
-                {"name": s.name, "arity": s.arity}
-                for s in (self.symbols[n] for n in self.target_names)
-            ],
-            "mappings": [m.to_json() for m in self.mappings],
-        }

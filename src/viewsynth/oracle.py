@@ -53,9 +53,6 @@ class GraphDatabase:
             if s not in self.nodes or d not in self.nodes:
                 raise InputError("edge endpoint outside the node set")
 
-    def labels(self) -> frozenset[str]:
-        return frozenset(lbl for _, lbl, _ in self.edges)
-
     def to_json(self):
         return {
             "nodes": sorted(self.nodes),

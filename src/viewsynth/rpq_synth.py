@@ -47,6 +47,7 @@ from .congruence import (
     relation_of_word,
     transition_monoid,
 )
+from .twoway import fold_automaton, two_to_one
 
 DEFAULT_SEARCH_BUDGET = 1_000_000
 
@@ -269,8 +270,6 @@ class _MappingChecker:
 
     def _folded_target(self) -> NWA:
         if self._fold_t is None:
-            from .twoway import fold_automaton, two_to_one
-
             self._fold_t = two_to_one(fold_automaton(self.a_t), cap=self.det_cap)
         return self._fold_t
 
@@ -287,8 +286,6 @@ class _MappingChecker:
     def reverse_separating(self, sub: NWA) -> "Word | None":
         """A shortest target word outside ``sub``; ``None`` when contained."""
         if self.two_way:
-            from .twoway import fold_automaton, two_to_one
-
             sub = two_to_one(fold_automaton(sub), cap=self.det_cap)
         return difference_witness(self.a_t, sub, cap=self.det_cap)
 
@@ -440,28 +437,14 @@ class _Engine:
                 instance.mappings, set(instance.symbols)
             )
             self.check_mappings = [combined]
-            monoid_auto = trim(eliminate_epsilon(compile_regex(combined.target)))
         else:
             self.check_mappings = list(instance.mappings)
-            monoid_auto = trim(
-                union_nwa(
-                    [eliminate_epsilon(compile_regex(m.target)) for m in instance.mappings],
-                    alphabet=target_alpha,
-                )
-            )
-        if not set(target_alpha) <= monoid_auto.alphabet:
-            monoid_auto = NWA(
-                monoid_auto.n_states,
-                monoid_auto.alphabet | set(target_alpha),
-                monoid_auto.initials,
-                monoid_auto.finals,
-                monoid_auto.transitions,
-            )
-        self.monoid = transition_monoid(monoid_auto, generators=target_alpha, cap=monoid_cap)
         self.checkers = [
             _MappingChecker(m, instance.source_names, target_alpha, det_cap)
             for m in self.check_mappings
         ]
+        monoid_auto = trim(union_nwa([c.a_t for c in self.checkers], alphabet=target_alpha))
+        self.monoid = transition_monoid(monoid_auto, generators=target_alpha, cap=monoid_cap)
         self.class_checks = [_ClassCapture(c, self.monoid) for c in self.checkers]
 
     def assignment_ok(self, views: RpqViews) -> bool:

@@ -20,7 +20,7 @@ from collections import deque
 
 from .errors import CapExceeded, InputError
 from .model import Word, inverse
-from .automata import NWA, eliminate_epsilon
+from .automata import NWA, contains, eliminate_epsilon
 from .congruence import image
 
 LEFT_END = "⊢"   # ⊢
@@ -292,8 +292,6 @@ def two_to_one(t: TwoNWA, cap: int = DEFAULT_TWOWAY_CAP, within: NWA | None = No
 
 def contains_2rpq(q1: NWA, q2: NWA, cap: int = DEFAULT_TWOWAY_CAP) -> bool:
     """2RPQ containment: L(q1) must fall inside fold(L(q2))."""
-    from .automata import contains
-
     # only words of L(q1) are ever read against the fold, so the conversion
     # builds just the crossing states their prefixes reach
     folded = two_to_one(fold_automaton(q2), cap=cap, within=q1)

@@ -147,7 +147,7 @@ def test_criterion_5_single_mapping_reduction():
         inst = random_rpq_instance(rng, n_mappings=rng.randint(2, 3))
         reduced = synthesize_sound(inst, use_reduction=True).outcome
         direct = synthesize_sound(inst, use_reduction=False).outcome
-        assert reduced == direct, inst.to_json()
+        assert reduced == direct, [m.render() for m in inst.mappings]
         agreements += 1
     assert agreements == trials
 
@@ -197,7 +197,7 @@ def test_criterion_8_ucq_lemma_property():
         inst = random_ucq_instance(rng)
         cq_verdict = synthesize_cq(inst, "sound", view_kind="cq", budget=500_000)
         ucq_verdict = synthesize_cq(inst, "sound", view_kind="ucq", budget=500_000)
-        assert cq_verdict.outcome == ucq_verdict.outcome, inst.to_json()
+        assert cq_verdict.outcome == ucq_verdict.outcome, [m.render() for m in inst.mappings]
         agreements += 1
     assert agreements == trials
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -287,6 +288,34 @@ def test_sound_all_still_lists_union_views():
     assert not isinstance(synthesize_cq(inst, "sound", view_kind="ucq").views["a"], UCQ)
     every = synthesize_cq(inst, "sound", view_kind="ucq", find_all=True)
     assert any(isinstance(views["a"], UCQ) for views in every.all_views)
+
+
+def test_listed_unions_have_no_disjunct_contained_in_another():
+    """A union with one disjunct contained in another equals the smaller
+    union without it, which is listed already, so it is not listed again."""
+    from viewsynth.oracle import random_ucq_instance
+
+    found = parse_instance(
+        "kind ucq\nsource a/2\ntarget r/2 s/2\n"
+        "map q(x,y) :- a(x,y) ~> q(x,y) :- r(x,y) ; q(x,y) :- s(x,y)\n"
+    )
+    rng = random.Random(43)
+    instances = [found] + [random_ucq_instance(rng) for _ in range(12)]
+    unions = 0
+    for inst in instances:
+        for mode in ("sound", "exact"):
+            try:
+                every = synthesize_cq(inst, mode, view_kind="ucq", find_all=True, budget=1000)
+            except BudgetExceeded:
+                continue
+            for views in every.all_views or ():
+                for view in views.values():
+                    if isinstance(view, UCQ):
+                        unions += 1
+                        pairs = itertools.permutations(view.disjuncts, 2)
+                        assert not any(cq_contained(a, b) for a, b in pairs), view.render()
+    assert len(synthesize_cq(found, "sound", view_kind="ucq", find_all=True).all_views) == 8
+    assert unions >= 100
 
 
 def test_found_views_verified_semantically(chain_cq):

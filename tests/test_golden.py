@@ -1,0 +1,58 @@
+"""Pinned output of the CLI and of the demo scripts.
+
+``golden.json`` holds two recordings:
+
+- ``cli``: the argv (run from the repository root), optional stdin, exit
+  code and stdout of in-process ``viewsynth.cli.main`` requests with
+  ``--format json`` on ``demos/instances`` and ``demos/data``.  They cover
+  every subcommand: RPQ/CQ/UCQ ``synth`` in both modes with ``--all`` and
+  ``--maximal``, ``check`` of path and CQ views, ``contain`` for all four
+  kinds, ``monoid`` and the four ``oracle`` commands.
+- ``demos``: the stdout of each ``demos/0*.py`` script.
+
+Both were recorded with the code before union views began skipping
+disjuncts that another disjunct contains.  That change altered one entry,
+``synth --all --view-kind ucq union_target_ucq.vs``: its ``all_views``
+lost the two unions that equal one of their own disjuncts, and the entry
+was updated to the new output.  JSON reports carry no timing fields, so
+the recordings are byte-stable.
+"""
+
+import io
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from viewsynth.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = json.loads((Path(__file__).parent / "golden.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize(
+    "entry", GOLDEN["cli"], ids=[" ".join(e["argv"]) for e in GOLDEN["cli"]]
+)
+def test_cli_stdout_is_pinned(entry, capsys, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(entry.get("stdin", "")))
+    code = main(entry["argv"])
+    assert code == entry["exit"]
+    assert capsys.readouterr().out == entry["stdout"]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN["demos"]))
+def test_demo_stdout_is_pinned(name):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / name)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == GOLDEN["demos"][name]

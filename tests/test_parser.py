@@ -125,10 +125,3 @@ def test_mode_line_in_instance_file():
     assert inst.mode == "exact"
     with pytest.raises(ParseError, match="mode"):
         parse_instance("kind rpq\nmode fancy\nsource a\ntarget b\nmap a ~> b\n")
-
-
-def test_instance_json_mirror(sec6_sound):
-    js = sec6_sound.to_json()
-    assert js["kind"] == "rpq"
-    assert [s["name"] for s in js["source"]] == ["a1", "a2", "a3"]
-    assert js["mappings"][0]["target_text"] == "b1.b2"
