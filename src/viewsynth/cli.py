@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import __version__
 from .errors import BudgetExceeded, CapExceeded, InputError, ParseError, ViewSynthError
-from .model import UCQ, base_label
+from .model import UCQ
 from .parser import parse_instance, parse_regex, parse_ucq, parse_views
 from .automata import (
     DEFAULT_DET_CAP,
@@ -116,7 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_brute = osub.add_parser("brute-exists", help="exhaustive RPQ view existence")
     p_brute.add_argument("file")
-    p_brute.add_argument("--bound", type=int, default=None, help="view word length bound")
     add_options(p_brute, "--budget")
     p_brute.set_defaults(func=cmd_oracle_brute)
 
@@ -277,13 +276,8 @@ def cmd_contain(args) -> int:
     det_cap = _cap(args, "det_cap")
     if args.kind in ("rpq", "2rpq"):
         two_way = args.kind == "2rpq"
-        r1 = parse_regex(args.q1, None, two_way=two_way)
-        r2 = parse_regex(args.q2, None, two_way=two_way)
-        labels = {base_label(s) for s in r1.symbols()} | {
-            base_label(s) for s in r2.symbols()
-        }
-        a1 = compile_regex(r1, alphabet=labels if not two_way else None)
-        a2 = compile_regex(r2, alphabet=labels if not two_way else None)
+        a1 = compile_regex(parse_regex(args.q1, None, two_way=two_way))
+        a2 = compile_regex(parse_regex(args.q2, None, two_way=two_way))
         _dump_dot(args, {"q1": a1, "q2": a2})
         witness = None
         if two_way:
@@ -363,7 +357,7 @@ def cmd_oracle_eval_ucq(args) -> int:
 def cmd_oracle_brute(args) -> int:
     budget = _cap(args, "budget")
     instance = parse_instance(_read(args.file))
-    outcome, views = brute_view_existence_rpq(instance, args.bound, budget=budget)
+    outcome, views = brute_view_existence_rpq(instance, budget=budget)
     lines = [f"outcome: {outcome}"]
     views_json = None
     if views is not None:

@@ -121,7 +121,6 @@ class TransitionMonoid:
     identity_index: int
     _index_of: dict[int, int] = field(compare=False)
     _right_mul: dict[tuple[int, str], int] = field(compare=False)
-    _compose_cache: dict[tuple[int, int], int] = field(compare=False)
 
     def index_of(self, relation: StateRelation) -> int:
         idx = self._index_of.get(relation.encoding)
@@ -134,18 +133,6 @@ class TransitionMonoid:
             return self._right_mul[(index, symbol)]
         except KeyError:
             raise InputError(f"symbol {symbol!r} is not a monoid generator") from None
-
-    def compose(self, i: int, j: int) -> int:
-        """Index of elements[i] composed with elements[j] (memoized table)."""
-        key = (i, j)
-        got = self._compose_cache.get(key)
-        if got is None:
-            got = self.index_of(self.elements[i].compose(self.elements[j]))
-            self._compose_cache[key] = got
-        return got
-
-    def class_of_word(self, word: Word, automaton: NWA) -> int:
-        return self.index_of(relation_of_word(automaton, word))
 
     def to_json(self):
         return {
@@ -218,7 +205,6 @@ def transition_monoid(
         identity_index=index_of[identity.encoding],
         _index_of=index_of,
         _right_mul=right_mul,
-        _compose_cache={},
     )
 
 
@@ -249,4 +235,4 @@ def class_automaton(monoid: TransitionMonoid, element) -> DWA:
 
 def class_of(a: NWA, word: Word, monoid: TransitionMonoid) -> int:
     """Index of the monoid element whose class contains ``word``."""
-    return monoid.class_of_word(word, a)
+    return monoid.index_of(relation_of_word(a, word))

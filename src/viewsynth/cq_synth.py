@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 from .errors import BudgetExceeded, InputError
 from .model import Atom, CQ, ProblemInstance, UCQ
+from .search import search
 
 DEFAULT_CQ_BUDGET = 1_000_000
 
@@ -421,10 +422,11 @@ def synthesize_cq(
                 return False
         return True
 
-    def full_check(assignment: CqViews) -> "list[CqMappingCheck] | None":
+    def accept(partial: CqViews):
         spend()
+        assignment = dict(partial)
         records = capture_check_cq(instance, assignment, mode)
-        return records if all(r.ok(mode) for r in records) else None
+        return (assignment, records) if all(r.ok(mode) for r in records) else None
 
     # per-symbol candidates, locally filtered
     options: dict[str, list[CqView]] = {}
@@ -445,25 +447,7 @@ def synthesize_cq(
         options[sym] = opts
         stats.candidates_per_symbol[sym] = len(opts)
 
-    def dfs(depth: int, partial: CqViews):
-        if depth == len(occurring):
-            assignment = {sym: partial.get(sym) for sym in occurring}
-            records = full_check(assignment)
-            if records is not None:
-                yield assignment, records
-            return
-        sym = occurring[depth]
-        for view in options[sym]:
-            partial[sym] = view
-            if depth + 1 == len(occurring) or sound_prefix_ok(partial):
-                yield from dfs(depth + 1, partial)
-            del partial[sym]
-
-    solutions = []
-    for solution in dfs(0, {}):
-        solutions.append(solution)
-        if not find_all:
-            break
+    solutions = search(occurring, options.get, sound_prefix_ok, accept, find_all)
     if not solutions:
         return CqSynthesisReport("not-found", None, None, bounds, stats)
     assignment, records = solutions[0]

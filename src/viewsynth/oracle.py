@@ -326,7 +326,6 @@ def _stabilization_length(targets: list[NWA], alphabet, max_len: int) -> int:
 
 def brute_view_existence_rpq(
     instance: ProblemInstance,
-    word_bound: int | None = None,
     budget: int = DEFAULT_ORACLE_BUDGET,
 ) -> tuple[str, dict[str, "Word | None"] | None]:
     """Exhaustive search over singleton-word (or empty) views.
@@ -334,8 +333,7 @@ def brute_view_existence_rpq(
     Completeness rests on two facts: capturing views can be thinned to one
     word (or nothing) per symbol, and words beyond the point where target
     state relations stop being new are interchangeable with shorter ones.
-    ``word_bound`` overrides the computed bound.  Returns
-    ``("found", views)`` or ``("not-found", None)``.
+    Returns ``("found", views)`` or ``("not-found", None)``.
     """
     if instance.kind != "rpq":
         raise InputError("the brute RPQ oracle handles kind rpq only")
@@ -348,8 +346,7 @@ def brute_view_existence_rpq(
         eliminate_epsilon(compile_regex(m.target)) for m in instance.mappings
     ]
 
-    if word_bound is None:
-        word_bound = _stabilization_length(target_autos, target_alpha, max_len=12)
+    word_bound = _stabilization_length(target_autos, target_alpha, max_len=12)
     words: list[Word] = [()]
     for length in range(1, word_bound + 1):
         words.extend(itertools.product(target_alpha, repeat=length))

@@ -28,13 +28,10 @@ from .automata import (
     DEFAULT_DET_CAP,
     NWA,
     compile_regex,
-    complement,
-    determinize,
     difference_witness,
     eliminate_epsilon,
     is_empty,
     nwa_to_regex,
-    product,
     substitute,
     trim,
     union_nwa,
@@ -47,6 +44,7 @@ from .congruence import (
     relation_of_word,
     transition_monoid,
 )
+from .search import search
 from .twoway import fold_automaton, two_to_one
 
 DEFAULT_SEARCH_BUDGET = 1_000_000
@@ -246,7 +244,13 @@ def _interleave(parts, sep):
 # ---------------------------------------------------------------------------
 
 class _MappingChecker:
-    """Pre-compiled automata for one mapping: the automata capture check."""
+    """Pre-compiled automata for one mapping: the automata capture check.
+
+    Both directions compare one side's words against the other side's
+    closure: the language itself for RPQs, its fold closure for 2RPQs
+    (Calvanese, De Giacomo, Lenzerini and Vardi, KR 2000), built only for
+    the words of the side it is compared with.
+    """
 
     def __init__(self, mapping: Mapping, source_syms, target_alpha, det_cap, two_way=False):
         if isinstance(mapping.source, UCQ):
@@ -259,35 +263,23 @@ class _MappingChecker:
         self.alphabet = frozenset(
             (self.a_s.alphabet - self.source_syms) | self.a_t.alphabet | set(target_alpha)
         )
-        self._comp_t: "NWA | None" = None
-        self._fold_t: "NWA | None" = None
 
-    def _complement_target(self) -> NWA:
-        if self._comp_t is None:
-            det = determinize(self.a_t, cap=self.det_cap, alphabet=self.alphabet)
-            self._comp_t = complement(det).as_nwa()
-        return self._comp_t
-
-    def _folded_target(self) -> NWA:
-        if self._fold_t is None:
-            self._fold_t = two_to_one(fold_automaton(self.a_t), cap=self.det_cap)
-        return self._fold_t
+    def _closure(self, a: NWA, within: NWA) -> NWA:
+        """``a``, or for 2RPQs its fold closure on the words of ``within``."""
+        if self.two_way:
+            return two_to_one(fold_automaton(a), cap=self.det_cap, within=within)
+        return a
 
     def substituted(self, realized: dict[str, "NWA | None"]) -> NWA:
         return substitute(self.a_s, realized, self.source_syms, self.alphabet)
 
     def separating(self, sub: NWA) -> "Word | None":
         """A shortest word of ``sub`` outside the target; ``None`` when contained."""
-        if self.two_way:
-            return difference_witness(sub, self._folded_target(), cap=self.det_cap)
-        gap = product(sub, self._complement_target(), alphabet=self.alphabet)
-        return is_empty(gap)[1]
+        return difference_witness(sub, self._closure(self.a_t, sub), cap=self.det_cap)
 
     def reverse_separating(self, sub: NWA) -> "Word | None":
         """A shortest target word outside ``sub``; ``None`` when contained."""
-        if self.two_way:
-            sub = two_to_one(fold_automaton(sub), cap=self.det_cap)
-        return difference_witness(self.a_t, sub, cap=self.det_cap)
+        return difference_witness(self.a_t, self._closure(sub, self.a_t), cap=self.det_cap)
 
     def check(self, realized: dict[str, "NWA | None"], mode: str) -> MappingCheck:
         sub = self.substituted(realized)
@@ -460,28 +452,20 @@ class _Engine:
         return True
 
     def prefix_ok(self, partial: RpqViews) -> bool:
-        """Containment with unassigned symbols treated as empty.
-
-        Sound for pruning: words witnessing a violation survive every
-        extension of the assignment (view languages only grow).
-        """
+        """Containment with unassigned symbols treated as empty."""
         return all(cc.capture(partial)[1] for cc in self.class_checks)
 
-    def options_factory(self):
-        """Per-symbol candidate views in canonical order (EMPTY first)."""
+    def options(self, _sym: str):
+        """Candidate views of any symbol in canonical order (EMPTY first)."""
         m = len(self.monoid.elements)
+        yield RpqView.empty()
         if self.mode == "sound":
-            def options():
-                yield RpqView.empty()
-                for i in range(m):
-                    yield RpqView.of_class(i)
+            for i in range(m):
+                yield RpqView.of_class(i)
         else:
-            def options():
-                yield RpqView.empty()
-                for size in range(1, m + 1):
-                    for combo in itertools.combinations(range(m), size):
-                        yield RpqView.of_classes(combo)
-        return options
+            for size in range(1, m + 1):
+                for combo in itertools.combinations(range(m), size):
+                    yield RpqView.of_classes(combo)
 
 
 def synthesize(
@@ -517,7 +501,19 @@ def synthesize(
                 stats.elapsed = time.monotonic() - started
                 return SynthesisReport("not-found", None, None, None, stats, monoid=engine.monoid)
 
-    solutions = _run_search(engine, stats, find_all=find_all, budget=budget)
+    def accept(views: RpqViews) -> "RpqViews | None":
+        stats.assignments_tried += 1
+        if stats.assignments_tried > budget:
+            raise BudgetExceeded("synthesis search", budget)
+        return dict(views) if engine.assignment_ok(views) else None
+
+    def prefix_ok(partial: RpqViews) -> bool:
+        if engine.prefix_ok(partial):
+            return True
+        stats.prefixes_pruned += 1
+        return False
+
+    solutions = search(engine.occurring, engine.options, prefix_ok, accept, find_all)
 
     if maximal and solutions:
         # distinct seeds can grow into the same maximal views
@@ -544,42 +540,6 @@ def synthesize(
         report.all_views = solutions
         report.all_views_regex = [views_to_regex(v, engine.monoid) for v in solutions]
     return report
-
-
-def _run_search(engine: _Engine, stats: SynthStats, *, find_all, budget):
-    """Passing assignments in canonical order, each once; the first only
-    unless ``find_all``.
-
-    The depth-first search takes the symbols in ``engine.occurring`` order
-    and each symbol's options in canonical order, so it meets assignments
-    in lexicographic canonical order and never meets one twice.
-    """
-    syms = list(engine.occurring)
-    options = engine.options_factory()
-
-    if not syms:
-        stats.assignments_tried = 1
-        return [{}] if engine.assignment_ok({}) else []
-
-    def dfs(depth: int, partial: RpqViews):
-        if depth == len(syms):
-            stats.assignments_tried += 1
-            if stats.assignments_tried > budget:
-                raise BudgetExceeded("synthesis search", budget)
-            if engine.assignment_ok(partial):
-                yield dict(partial)
-            return
-        sym = syms[depth]
-        for view in options():
-            partial[sym] = view
-            if depth + 1 < len(syms) and not engine.prefix_ok(partial):
-                stats.prefixes_pruned += 1
-            else:
-                yield from dfs(depth + 1, partial)
-            del partial[sym]
-
-    found = dfs(0, {})
-    return list(found) if find_all else list(itertools.islice(found, 1))
 
 
 def synthesize_sound(instance: ProblemInstance, **kwargs) -> SynthesisReport:
@@ -626,6 +586,9 @@ def maximize(
 
 
 def _maximize_with_engine(engine: _Engine, views: RpqViews) -> RpqViews:
+    # Growing capturing views keeps them nonempty and, in exact mode, keeps
+    # the reverse containment, so a candidate captures exactly when it is
+    # still contained: the monoid decides that, with no automaton built.
     current = dict(views)
     for sym in engine.occurring:
         for index in range(len(engine.monoid.elements)):
@@ -634,7 +597,7 @@ def _maximize_with_engine(engine: _Engine, views: RpqViews) -> RpqViews:
                 continue
             candidate = dict(current)
             candidate[sym] = view.with_class(index)
-            if engine.assignment_ok(candidate):
+            if engine.prefix_ok(candidate):
                 current = candidate
     return current
 

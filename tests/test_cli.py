@@ -356,7 +356,7 @@ def test_cli_fuzz_exits_with_a_documented_code(capsys, tmp_path):
             ["check", arg(instance), "--views", arg(views)],
             ["oracle", "eval", "--kind", rng.choice(["rpq", "2rpq"]), graph_file, arg(regex)],
             ["oracle", "eval-ucq", facts_file, arg(_fuzz_cq(rng))],
-            ["oracle", "brute-exists", "--budget", "200", "--bound", "2", inst],
+            ["oracle", "brute-exists", "--budget", "200", inst],
             ["oracle", "coherence", "--samples", "2", inst, "--views", views_file],
         ])
         try:

@@ -155,20 +155,22 @@ def test_monoid_laws_on_random_automata():
         monoid = transition_monoid(a)
         m = len(monoid.elements)
         identity = monoid.identity_index
+
+        def compose(i, j):
+            return monoid.index_of(monoid.elements[i].compose(monoid.elements[j]))
+
         for i in range(m):
             # identity laws
-            assert monoid.compose(identity, i) == i
-            assert monoid.compose(i, identity) == i
+            assert compose(identity, i) == i
+            assert compose(i, identity) == i
             for j in range(m):
                 # closure
-                k = monoid.compose(i, j)
+                k = compose(i, j)
                 assert 0 <= k < m
         # associativity on a sample of triples
         for _ in range(30):
             i, j, k = (rng.randrange(m) for _ in range(3))
-            assert monoid.compose(monoid.compose(i, j), k) == monoid.compose(
-                i, monoid.compose(j, k)
-            )
+            assert compose(compose(i, j), k) == compose(i, compose(j, k))
 
 
 def test_two_sided_congruence_property():

@@ -14,8 +14,10 @@ Both were recorded with the code before union views began skipping
 disjuncts that another disjunct contains.  That change altered one entry,
 ``synth --all --view-kind ucq union_target_ucq.vs``: its ``all_views``
 lost the two unions that equal one of their own disjuncts, and the entry
-was updated to the new output.  JSON reports carry no timing fields, so
-the recordings are byte-stable.
+was updated to the new output.  When ``oracle brute-exists --bound`` was
+removed, the one entry that passed ``--bound 2`` lost those two arguments;
+its stdout is unchanged.  JSON reports carry no timing fields, so the
+recordings are byte-stable.
 """
 
 import io

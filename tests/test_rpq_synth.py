@@ -8,7 +8,7 @@ from viewsynth.errors import BudgetExceeded, InputError
 from viewsynth.parser import parse_instance, parse_regex
 from viewsynth import rpq_synth
 from viewsynth.automata import accepts, compile_regex, equivalent, is_empty
-from viewsynth.congruence import transition_monoid
+from viewsynth.congruence import class_of, transition_monoid
 from viewsynth.oracle import (
     brute_view_existence_rpq,
     enumerate_language,
@@ -72,8 +72,8 @@ def test_reduction_preserves_existence_on_random_instances():
 # --- capture_check --------------------------------------------------------------
 
 def sec6_views(monoid, target_auto):
-    c_b1 = monoid.class_of_word(("b1",), target_auto)
-    c_b2 = monoid.class_of_word(("b2",), target_auto)
+    c_b1 = class_of(target_auto, ("b1",), monoid)
+    c_b2 = class_of(target_auto, ("b2",), monoid)
     return {
         "a1": RpqView.of_class(c_b1),
         "a2": RpqView.of_class(c_b2),
@@ -98,7 +98,7 @@ def test_capture_check_sec6_passes(sec6_context):
 def test_capture_check_corrupted_views(sec6_context):
     inst, target, monoid = sec6_context
     views = sec6_views(monoid, target)
-    views["a3"] = RpqView.of_class(monoid.class_of_word(("b1",), target))
+    views["a3"] = RpqView.of_class(class_of(target, ("b1",), monoid))
     result = capture_check(inst, views, monoid, "sound")
     assert not result.ok
     assert result.per_mapping[0].separating == ("b1", "b1")
@@ -186,8 +186,8 @@ def test_exact_union_of_both_maxima_rejected(sec6_exact):
     report = synthesize_sound(sec6_exact, find_all=True, maximal=True)
     target = compile_regex(parse_regex("0.0|0.1|1.0", {"0", "1"}))
     monoid = report.monoid
-    c0 = monoid.class_of_word(("0",), target)
-    c1 = monoid.class_of_word(("1",), target)
+    c0 = class_of(target, ("0",), monoid)
+    c1 = class_of(target, ("1",), monoid)
     union = {
         "a1": RpqView.of_classes({c0, c1}),
         "a2": RpqView.of_classes({c0, c1}),
@@ -195,6 +195,16 @@ def test_exact_union_of_both_maxima_rejected(sec6_exact):
     result = capture_check(sec6_exact, union, monoid, "sound")
     assert not result.ok
     assert result.per_mapping[0].separating == ("1", "1")
+
+
+@pytest.mark.parametrize("mode", ["sound", "exact"])
+def test_explicit_view_word_outside_the_checker_alphabet_separates(mode):
+    # the view reads z, which no query of the instance mentions
+    inst = parse_instance("kind rpq\nsource a\ntarget b\nmap a ~> b\n")
+    view = RpqView.explicit(compile_regex(parse_regex("b|z", None)))
+    record = capture_check(inst, {"a": view}, None, mode).per_mapping[0]
+    assert record.contained is False
+    assert record.separating == ("z",)
 
 
 def test_exact_empty_target_not_found():
@@ -207,8 +217,8 @@ def test_exact_empty_target_not_found():
 def test_maximize_paper_seeds(sec6_exact):
     target = compile_regex(parse_regex("0.0|0.1|1.0", {"0", "1"}))
     monoid = transition_monoid(target, generators=("0", "1"))
-    c0 = monoid.class_of_word(("0",), target)
-    c1 = monoid.class_of_word(("1",), target)
+    c0 = class_of(target, ("0",), monoid)
+    c1 = class_of(target, ("1",), monoid)
 
     seeded = maximize(
         sec6_exact, {"a1": RpqView.of_class(c0), "a2": RpqView.of_class(c0)}
@@ -246,7 +256,7 @@ def test_maximize_identity_mapping_adds_nothing():
     inst = parse_instance("kind rpq\nsource a\ntarget b\nmap a ~> b\n")
     target = rx("b")
     monoid = transition_monoid(target, generators=("b",))
-    seed = {"a": RpqView.of_class(monoid.class_of_word(("b",), target))}
+    seed = {"a": RpqView.of_class(class_of(target, ("b",), monoid))}
     maximal = maximize(inst, seed)
     assert maximal == seed
     for index in range(len(monoid.elements)):
@@ -291,6 +301,39 @@ def test_view_is_classes_or_automaton_not_both():
         RpqView.explicit(rx("b")).with_class(0)
 
 
+def greedy_capture_pass(engine, views):
+    """Add each class to each view in turn while the whole capture holds."""
+    current = dict(views)
+    for sym in engine.occurring:
+        for index in range(len(engine.monoid.elements)):
+            view = current[sym]
+            if view.classes is not None and index in view.classes:
+                continue
+            candidate = {**current, sym: view.with_class(index)}
+            if engine.assignment_ok(candidate):
+                current = candidate
+    return current
+
+
+@pytest.mark.parametrize("mode", ["sound", "exact"])
+def test_maximize_agrees_with_greedy_capture_pass(mode):
+    rng = random.Random(83)
+    compared = 0
+    for _ in range(40):
+        inst = random_rpq_instance(rng, n_mappings=rng.randint(1, 2))
+        try:
+            report = synthesize(inst, mode, find_all=True, budget=2_000)
+        except BudgetExceeded:
+            continue
+        if not report.found:
+            continue
+        engine = _Engine(inst, mode)
+        for views in report.all_views[:4]:
+            assert maximize(inst, views, mode) == greedy_capture_pass(engine, views)
+            compared += 1
+    assert compared >= 15
+
+
 def test_sound_solution_is_already_maximal(sec6_sound):
     report = synthesize_sound(sec6_sound)
     maximal = maximize(sec6_sound, report.views)
@@ -302,7 +345,7 @@ def test_sound_solution_is_already_maximal(sec6_sound):
 
 def test_views_to_regex_single_class(sec6_context):
     _, target, monoid = sec6_context
-    views = {"x": RpqView.of_class(monoid.class_of_word(("b1",), target))}
+    views = {"x": RpqView.of_class(class_of(target, ("b1",), monoid))}
     rendered = views_to_regex(views, monoid)
     assert rendered["x"].render() == "b1"
 
@@ -316,8 +359,8 @@ def test_views_to_regex_empty_token(sec6_context):
 def test_views_to_regex_union_equivalent(sec6_exact):
     target = compile_regex(parse_regex("0.0|0.1|1.0", {"0", "1"}))
     monoid = transition_monoid(target, generators=("0", "1"))
-    c0 = monoid.class_of_word(("0",), target)
-    c1 = monoid.class_of_word(("1",), target)
+    c0 = class_of(target, ("0",), monoid)
+    c1 = class_of(target, ("1",), monoid)
     rendered = views_to_regex({"x": RpqView.of_classes({c0, c1})}, monoid)
     got = compile_regex(rendered["x"], {"0", "1"})
     want = compile_regex(parse_regex("0|1", {"0", "1"}))
@@ -379,7 +422,7 @@ def test_congruence_closure_preserves_capture():
             if word is None:
                 views[sym] = RpqView.empty()
             else:
-                views[sym] = RpqView.of_class(monoid.class_of_word(word, target))
+                views[sym] = RpqView.of_class(class_of(target, word, monoid))
         assert capture_check(inst, views, monoid, "sound").ok
         closures_checked += 1
     assert closures_checked >= 5
