@@ -5,8 +5,12 @@ empty view: any word given to a3 would have to serve as both a first and
 a second letter of b1.b2.
 """
 
-from viewsynth import coherence_soundness_sample, parse_instance, synthesize_sound
-from viewsynth.rpq_synth import realize_view
+from viewsynth import (
+    coherence_soundness_sample,
+    parse_instance,
+    realize_views,
+    synthesize_sound,
+)
 
 instance = parse_instance("""
 kind rpq
@@ -27,7 +31,7 @@ for i, rec in enumerate(report.checks.per_mapping):
 
 # semantic spot check: build random target databases, populate the sources
 # from the views, and confirm source answers stay inside target answers
-views = {sym: realize_view(v, report.monoid) for sym, v in report.views.items()}
+views = realize_views(report.views, report.monoid)
 sample = coherence_soundness_sample(instance, views, samples=50, seed=7)
 print("\ncoherence sampling:", "pass" if sample.ok else "FAIL")
 

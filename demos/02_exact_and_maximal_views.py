@@ -9,9 +9,9 @@ classes and verifies containment in both directions.
 from viewsynth import parse_instance, parse_regex, compile_regex
 from viewsynth.congruence import class_of
 from viewsynth.rpq_synth import (
-    RpqView,
     capture_check,
     maximize,
+    realize_views,
     synthesize_exact,
     synthesize_sound,
     views_to_regex,
@@ -36,14 +36,14 @@ monoid = exact.monoid
 c0 = class_of(target, ("0",), monoid)
 c1 = class_of(target, ("1",), monoid)
 
-seed = {"a1": RpqView.of_class(c0), "a2": RpqView.of_class(c0)}
+seed = {"a1": frozenset({c0}), "a2": frozenset({c0})}
 grown = maximize(instance, seed)
 print("\nmaximize from (0, 0):",
       {s: r.render() for s, r in sorted(views_to_regex(grown, monoid).items())})
 
 # the pointwise union of the two incomparable maxima is NOT a capture
-union = {"a1": RpqView.of_classes({c0, c1}), "a2": RpqView.of_classes({c0, c1})}
-result = capture_check(instance, union, monoid, "sound")
+union = {"a1": frozenset({c0, c1}), "a2": frozenset({c0, c1})}
+result = capture_check(instance, realize_views(union, monoid), "sound")
 print("union of the maxima captures?", result.ok,
       "| separating word:", " ".join(result.per_mapping[0].separating))
 

@@ -53,10 +53,10 @@ from .congruence import (
     transition_monoid,
 )
 from .rpq_synth import (
-    RpqView,
     SynthesisReport,
     capture_check,
     maximize,
+    realize_views,
     reduce_to_single_mapping,
     synthesize,
     synthesize_exact,

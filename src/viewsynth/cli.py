@@ -14,7 +14,6 @@ from pathlib import Path
 
 from . import __version__
 from .errors import BudgetExceeded, CapExceeded, InputError, ParseError, ViewSynthError
-from .model import UCQ
 from .parser import parse_instance, parse_regex, parse_ucq, parse_views
 from .automata import (
     DEFAULT_DET_CAP,
@@ -36,7 +35,6 @@ from .oracle import (
 from .rpq_synth import (
     DEFAULT_SEARCH_BUDGET,
     CaptureResult,
-    RpqView,
     capture_check,
     reduce_to_single_mapping,
     synthesize,
@@ -132,10 +130,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cap(args, name: str) -> int:
-    """The option ``name`` (``det_cap``, ``monoid_cap`` or ``budget``)."""
+    """The option ``name`` (``det_cap``, ``monoid_cap``, ``budget`` or
+    ``samples``), which must be positive."""
     value = getattr(args, name)
     if value <= 0:
-        raise InputError("caps and budgets must be positive")
+        raise InputError(f"--{name.replace('_', '-')} must be positive")
     return value
 
 
@@ -147,6 +146,15 @@ def _read(path: str) -> str:
     except (OSError, ValueError) as exc:
         # ValueError covers undecodable bytes and a NUL in the path
         raise InputError(f"cannot read {path}: {exc}") from None
+
+
+def _views(args, instance) -> dict:
+    """The views file's views: compiled automata for path kinds (``None``
+    for the empty view), the parsed (U)CQs for relational kinds."""
+    views = parse_views(_read(args.views), instance)
+    if instance.kind in ("rpq", "2rpq"):
+        return {sym: None if q is None else compile_regex(q) for sym, q in views.items()}
+    return views
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -240,20 +248,15 @@ def cmd_check(args) -> int:
     det_cap = _cap(args, "det_cap")
     instance = parse_instance(_read(args.file))
     mode = args.mode or instance.mode
-    views_q = parse_views(_read(args.views), instance)
-    occurring = instance.occurring_source_symbols()
-    missing = [s for s in occurring if s not in views_q]
+    views = _views(args, instance)
+    missing = [s for s in instance.occurring_source_symbols() if s not in views]
     if missing:
         raise InputError(f"views file misses occurring symbol(s) {missing}")
 
     if instance.kind in ("rpq", "2rpq"):
-        views = {
-            sym: RpqView.empty() if q is None else RpqView.explicit(compile_regex(q))
-            for sym, q in views_q.items()
-        }
-        result = capture_check(instance, views, None, mode, det_cap)
+        result = capture_check(instance, views, mode, det_cap)
     else:
-        result = CaptureResult(mode, capture_check_cq(instance, views_q, mode))
+        result = CaptureResult(mode, capture_check_cq(instance, views, mode))
 
     lines = [f"capture: {'holds' if result.ok else 'fails'} ({mode})"]
     for i, rec in enumerate(result.per_mapping):
@@ -295,6 +298,8 @@ def cmd_contain(args) -> int:
 
     q1 = parse_ucq(args.q1)
     q2 = parse_ucq(args.q2)
+    if args.kind == "cq" and any(len(q.disjuncts) != 1 for q in (q1, q2)):
+        raise InputError("kind cq admits single-disjunct queries only")
     if q1.arity != q2.arity:
         raise InputError("queries disagree on head arity")
     holds = ucq_contains(q1, q2)
@@ -371,19 +376,10 @@ def cmd_oracle_brute(args) -> int:
 
 
 def cmd_oracle_coherence(args) -> int:
+    samples = _cap(args, "samples")
     instance = parse_instance(_read(args.file))
-    views_q = parse_views(_read(args.views), instance)
-    if instance.kind in ("rpq", "2rpq"):
-        views = {
-            sym: None if q is None else compile_regex(q) for sym, q in views_q.items()
-        }
-    else:
-        views = {
-            sym: q if (q is None or isinstance(q, UCQ)) else UCQ((q,))
-            for sym, q in views_q.items()
-        }
     report = coherence_soundness_sample(
-        instance, views, samples=args.samples, seed=args.seed, mode=args.mode
+        instance, _views(args, instance), samples=samples, seed=args.seed, mode=args.mode
     )
     text = f"coherence sampling: {'pass' if report.ok else 'FAIL'} ({report.samples} samples)"
     if report.counterexample is not None:

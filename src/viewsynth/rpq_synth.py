@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from .errors import BudgetExceeded, InputError
@@ -50,64 +49,17 @@ from .twoway import fold_automaton, two_to_one
 DEFAULT_SEARCH_BUDGET = 1_000_000
 
 
-@dataclass(frozen=True)
-class RpqView:
-    """One view: EMPTY, a (union of) congruence class(es), or an explicit NWA.
-
-    ``classes`` holds monoid element indices; a singleton is a plain class
-    view.  At most one of ``classes`` and ``automaton`` is set.  Explicit
-    automata only arrive through check mode (user-supplied views); the
-    search never produces them.
-    """
-
-    classes: "frozenset[int] | None" = None
-    automaton: "NWA | None" = None
-
-    def __post_init__(self):
-        if self.classes is not None and self.automaton is not None:
-            raise InputError("a view is classes or an explicit automaton, not both")
-
-    @staticmethod
-    def empty() -> "RpqView":
-        return RpqView()
-
-    @staticmethod
-    def of_class(index: int) -> "RpqView":
-        return RpqView(classes=frozenset((index,)))
-
-    @staticmethod
-    def of_classes(indices) -> "RpqView":
-        ix = frozenset(indices)
-        if not ix:
-            raise InputError("a class-union view needs at least one class")
-        return RpqView(classes=ix)
-
-    @staticmethod
-    def explicit(nwa: NWA) -> "RpqView":
-        return RpqView(automaton=nwa)
-
-    def with_class(self, index: int) -> "RpqView":
-        classes = frozenset((index,)) if self.classes is None else self.classes | {index}
-        return RpqView(classes=classes, automaton=self.automaton)
+# A class view is a set of monoid element indices, the union of their
+# congruence classes; the empty set is the empty view.
+ClassViews = dict[str, frozenset[int]]
 
 
-RpqViews = dict[str, RpqView]
-
-
-def realize_view(view: RpqView, monoid: "TransitionMonoid | None") -> "NWA | None":
-    """The view's language as an NWA (``None`` for the empty language)."""
-    if view.automaton is not None:
-        return view.automaton
-    if view.classes is None:
-        return None
-    if monoid is None:
-        raise InputError("class views need the instance's transition monoid")
-    return class_automaton(monoid, set(view.classes)).as_nwa()
-
-
-def views_signature(views: RpqViews):
-    """Hashable key of class-view assignments."""
-    return tuple(sorted((sym, v.classes) for sym, v in views.items()))
+def realize_views(views: ClassViews, monoid: TransitionMonoid) -> dict[str, "NWA | None"]:
+    """Each class view's language as an NWA (``None`` for the empty view)."""
+    return {
+        sym: class_automaton(monoid, classes).as_nwa() if classes else None
+        for sym, classes in views.items()
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -179,11 +131,11 @@ class SynthStats:
 @dataclass
 class SynthesisReport:
     outcome: str  # "found" | "not-found"
-    views: "RpqViews | None"
+    views: "ClassViews | None"
     views_regex: "dict[str, Regex] | None"
     checks: "CaptureResult | None"
     stats: SynthStats
-    all_views: "list[RpqViews] | None" = None
+    all_views: "list[ClassViews] | None" = None
     all_views_regex: "list[dict[str, Regex]] | None" = None
     monoid: "TransitionMonoid | None" = field(default=None, repr=False)
 
@@ -300,12 +252,15 @@ class _MappingChecker:
 
 def capture_check(
     instance: ProblemInstance,
-    views: RpqViews,
-    monoid: "TransitionMonoid | None" = None,
+    views: dict[str, "NWA | None"],
     mode: "str | None" = None,
     det_cap: int = DEFAULT_DET_CAP,
 ) -> CaptureResult:
-    """Check whether views capture every mapping of a path-query instance."""
+    """Check whether views capture every mapping of a path-query instance.
+
+    ``views`` maps each source symbol to its view language (``None`` for
+    the empty view); :func:`realize_views` gives those of class views.
+    """
     if instance.kind not in ("rpq", "2rpq"):
         raise InputError("capture_check handles path-query instances only")
     mode = mode or instance.mode
@@ -313,7 +268,6 @@ def capture_check(
     missing = [s for s in occurring if s not in views]
     if missing:
         raise InputError(f"views missing for occurring source symbol(s) {missing}")
-    realized = {sym: realize_view(v, monoid) for sym, v in views.items()}
     checkers = [
         _MappingChecker(
             m,
@@ -324,7 +278,7 @@ def capture_check(
         )
         for m in instance.mappings
     ]
-    return CaptureResult(mode=mode, per_mapping=[c.check(realized, mode) for c in checkers])
+    return CaptureResult(mode=mode, per_mapping=[c.check(views, mode) for c in checkers])
 
 
 class _ClassCapture:
@@ -367,7 +321,7 @@ class _ClassCapture:
             else:
                 self.edges[p].append((None, label_rows[x], q))
 
-    def capture(self, views: RpqViews) -> tuple[bool, bool]:
+    def capture(self, views: ClassViews) -> tuple[bool, bool]:
         """(nonempty, contained) of the substituted source.
 
         A symbol without a view, or with the empty view, has no words.  The
@@ -388,10 +342,7 @@ class _ClassCapture:
                 if sym is None:
                     images = (image(rows, reach),)
                 else:
-                    view = views.get(sym)
-                    if view is None or view.classes is None:
-                        continue
-                    images = {image(class_rows[e], reach) for e in view.classes}
+                    images = {image(class_rows[e], reach) for e in views.get(sym, ())}
                 for nxt in images:
                     if (q, nxt) not in seen:
                         seen.add((q, nxt))
@@ -439,33 +390,33 @@ class _Engine:
         self.monoid = transition_monoid(monoid_auto, generators=target_alpha, cap=monoid_cap)
         self.class_checks = [_ClassCapture(c, self.monoid) for c in self.checkers]
 
-    def assignment_ok(self, views: RpqViews) -> bool:
+    def assignment_ok(self, views: ClassViews) -> bool:
         """Nonempty and sound capture, decided in the monoid; in exact mode
-        the survivors' reverse containment is then decided with automata."""
+        the survivors' reverse containment is then decided with automata.
+        A symbol without a view has the empty view."""
         if not all(cc.capture(views) == (True, True) for cc in self.class_checks):
             return False
         if self.mode == "exact":
-            realized = {sym: realize_view(v, self.monoid) for sym, v in views.items()}
+            full = {sym: views.get(sym, frozenset()) for sym in self.occurring}
+            realized = realize_views(full, self.monoid)
             return all(
                 c.reverse_separating(c.substituted(realized)) is None for c in self.checkers
             )
         return True
 
-    def prefix_ok(self, partial: RpqViews) -> bool:
+    def prefix_ok(self, partial: ClassViews) -> bool:
         """Containment with unassigned symbols treated as empty."""
         return all(cc.capture(partial)[1] for cc in self.class_checks)
 
     def options(self, _sym: str):
-        """Candidate views of any symbol in canonical order (EMPTY first)."""
+        """Candidate views of any symbol in canonical order: the empty view,
+        then single classes (sound) or unions of classes by size (exact)."""
         m = len(self.monoid.elements)
-        yield RpqView.empty()
-        if self.mode == "sound":
-            for i in range(m):
-                yield RpqView.of_class(i)
-        else:
-            for size in range(1, m + 1):
-                for combo in itertools.combinations(range(m), size):
-                    yield RpqView.of_classes(combo)
+        sizes = (1,) if self.mode == "sound" else range(1, m + 1)
+        yield frozenset()
+        for size in sizes:
+            for combo in itertools.combinations(range(m), size):
+                yield frozenset(combo)
 
 
 def synthesize(
@@ -501,13 +452,13 @@ def synthesize(
                 stats.elapsed = time.monotonic() - started
                 return SynthesisReport("not-found", None, None, None, stats, monoid=engine.monoid)
 
-    def accept(views: RpqViews) -> "RpqViews | None":
+    def accept(views: ClassViews) -> "ClassViews | None":
         stats.assignments_tried += 1
         if stats.assignments_tried > budget:
             raise BudgetExceeded("synthesis search", budget)
         return dict(views) if engine.assignment_ok(views) else None
 
-    def prefix_ok(partial: RpqViews) -> bool:
+    def prefix_ok(partial: ClassViews) -> bool:
         if engine.prefix_ok(partial):
             return True
         stats.prefixes_pruned += 1
@@ -517,11 +468,8 @@ def synthesize(
 
     if maximal and solutions:
         # distinct seeds can grow into the same maximal views
-        maximized: "OrderedDict" = OrderedDict()
-        for views in solutions:
-            bigger = _maximize_with_engine(engine, views)
-            maximized.setdefault(views_signature(bigger), bigger)
-        solutions = list(maximized.values())
+        maximized = (_maximize_with_engine(engine, views) for views in solutions)
+        solutions = list({frozenset(v.items()): v for v in maximized}.values())
 
     stats.elapsed = time.monotonic() - started
     if not solutions:
@@ -532,7 +480,7 @@ def synthesize(
         outcome="found",
         views=best,
         views_regex=views_to_regex(best, engine.monoid),
-        checks=capture_check(instance, best, engine.monoid, mode, det_cap),
+        checks=capture_check(instance, realize_views(best, engine.monoid), mode, det_cap),
         stats=stats,
         monoid=engine.monoid,
     )
@@ -562,21 +510,19 @@ def synthesize_exact(instance: ProblemInstance, **kwargs) -> SynthesisReport:
 
 def maximize(
     instance: ProblemInstance,
-    views: RpqViews,
+    views: ClassViews,
     mode: str = "sound",
     *,
     use_reduction: bool = True,
     det_cap: int = DEFAULT_DET_CAP,
     monoid_cap: int = DEFAULT_MONOID_CAP,
-) -> RpqViews:
+) -> ClassViews:
     """Greedily add congruence classes while capture still holds.
 
     The result is maximal: once a class addition breaks capture it stays
     broken under any larger views, so a single canonical pass suffices.
-    Raises when the seed views do not capture or are explicit automata.
+    Raises when the seed views do not capture.
     """
-    if any(v.automaton is not None for v in views.values()):
-        raise InputError("maximize grows class views only, not explicit automata")
     engine = _Engine(
         instance, mode, use_reduction=use_reduction, det_cap=det_cap, monoid_cap=monoid_cap
     )
@@ -585,18 +531,16 @@ def maximize(
     return _maximize_with_engine(engine, views)
 
 
-def _maximize_with_engine(engine: _Engine, views: RpqViews) -> RpqViews:
+def _maximize_with_engine(engine: _Engine, views: ClassViews) -> ClassViews:
     # Growing capturing views keeps them nonempty and, in exact mode, keeps
     # the reverse containment, so a candidate captures exactly when it is
     # still contained: the monoid decides that, with no automaton built.
-    current = dict(views)
+    current = {**dict.fromkeys(engine.occurring, frozenset()), **views}
     for sym in engine.occurring:
         for index in range(len(engine.monoid.elements)):
-            view = current[sym]
-            if view.classes is not None and index in view.classes:
+            if index in current[sym]:
                 continue
-            candidate = dict(current)
-            candidate[sym] = view.with_class(index)
+            candidate = {**current, sym: current[sym] | {index}}
             if engine.prefix_ok(candidate):
                 current = candidate
     return current
@@ -606,10 +550,9 @@ def _maximize_with_engine(engine: _Engine, views: RpqViews) -> RpqViews:
 # Presentation
 # ---------------------------------------------------------------------------
 
-def views_to_regex(views: RpqViews, monoid: "TransitionMonoid | None") -> dict[str, Regex]:
+def views_to_regex(views: ClassViews, monoid: TransitionMonoid) -> dict[str, Regex]:
     """Render each view language as a regex (state elimination on its NWA)."""
-    out: dict[str, Regex] = {}
-    for sym, view in views.items():
-        realized = realize_view(view, monoid)
-        out[sym] = EMPTY_REGEX if realized is None else nwa_to_regex(realized)
-    return out
+    return {
+        sym: EMPTY_REGEX if nwa is None else nwa_to_regex(nwa)
+        for sym, nwa in realize_views(views, monoid).items()
+    }

@@ -26,9 +26,8 @@ from viewsynth.oracle import (
     random_ucq_instance,
 )
 from viewsynth.rpq_synth import (
-    RpqView,
     capture_check,
-    realize_view,
+    realize_views,
     synthesize_exact,
     synthesize_sound,
 )
@@ -39,8 +38,7 @@ from .conftest import SEC6_EXACT, SEC6_SOUND, all_words, bounded_language, rx
 
 def views_as_languages(views, monoid, alphabet, max_len):
     out = {}
-    for sym, view in sorted(views.items()):
-        realized = realize_view(view, monoid)
+    for sym, realized in sorted(realize_views(views, monoid).items()):
         out[sym] = (
             frozenset()
             if realized is None
@@ -61,7 +59,7 @@ def test_criterion_1_sec6_sound_example():
         if want is None:
             from viewsynth.automata import is_empty
 
-            realized = realize_view(report.views[sym], report.monoid)
+            realized = realize_views(report.views, report.monoid)[sym]
             assert realized is None or is_empty(realized)[0]
         else:
             got = compile_regex(regex, {"b1", "b2"})
@@ -82,10 +80,10 @@ def test_criterion_2_sec6_exact_all_maximal():
     # capture_check rejects the pointwise union of the two maxima, letting
     # the word 11 through
     union = {
-        "a1": RpqView.of_classes({c0, c1}),
-        "a2": RpqView.of_classes({c0, c1}),
+        "a1": frozenset({c0, c1}),
+        "a2": frozenset({c0, c1}),
     }
-    result = capture_check(inst, union, monoid, "sound")
+    result = capture_check(inst, realize_views(union, monoid), "sound")
     assert not result.ok
     assert result.per_mapping[0].separating == ("1", "1")
 
@@ -241,10 +239,7 @@ def test_criterion_10_semantic_soundness():
     # criterion 1 views
     sound_inst = parse_instance(SEC6_SOUND)
     sound_report = synthesize_sound(sound_inst)
-    views_1 = {
-        sym: realize_view(v, sound_report.monoid)
-        for sym, v in sound_report.views.items()
-    }
+    views_1 = realize_views(sound_report.views, sound_report.monoid)
     report = coherence_soundness_sample(sound_inst, views_1, samples=50, seed=10)
     assert report.ok and report.counterexample is None
 
@@ -252,9 +247,7 @@ def test_criterion_10_semantic_soundness():
     exact_inst = parse_instance(SEC6_EXACT)
     exact_report = synthesize_exact(exact_inst, find_all=True, maximal=True)
     for views in exact_report.all_views:
-        realized = {
-            sym: realize_view(v, exact_report.monoid) for sym, v in views.items()
-        }
+        realized = realize_views(views, exact_report.monoid)
         report = coherence_soundness_sample(
             exact_inst, realized, samples=50, seed=11, mode="exact"
         )

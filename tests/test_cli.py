@@ -417,6 +417,15 @@ def test_contain_ucq(capsys):
     assert code == 0
 
 
+def test_contain_cq_rejects_a_union(capsys):
+    union = "q(x) :- r(x) ; q(x) :- s(x)"
+    for q1, q2 in ((union, "q(x) :- r(x)"), ("q(x) :- r(x)", union)):
+        code, _, err = run(capsys, "contain", "--kind", "cq", q1, q2)
+        assert code == 2
+        assert "single-disjunct" in err
+    assert run(capsys, "contain", "--kind", "ucq", union, "q(x) :- r(x)")[0] == 1
+
+
 # --- monoid -----------------------------------------------------------------------
 
 def test_monoid_listing(capsys):
@@ -478,6 +487,16 @@ def test_oracle_coherence(capsys):
     )
     assert code == 1
     assert "counterexample" in out
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_oracle_coherence_needs_a_positive_sample_count(capsys, samples):
+    code, out, err = run(
+        capsys, "oracle", "coherence", SOUND, "--views", BAD_VIEWS, "--samples", samples
+    )
+    assert code == 2
+    assert out == ""
+    assert "--samples must be positive" in err
 
 
 # --- misc -------------------------------------------------------------------------

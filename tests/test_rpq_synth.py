@@ -15,11 +15,10 @@ from viewsynth.oracle import (
     random_rpq_instance,
 )
 from viewsynth.rpq_synth import (
-    RpqView,
     _Engine,
     capture_check,
     maximize,
-    realize_view,
+    realize_views,
     reduce_to_single_mapping,
     synthesize,
     synthesize_exact,
@@ -33,7 +32,7 @@ INSTANCES = Path(__file__).resolve().parent.parent / "demos" / "instances"
 
 
 def view_language(view, monoid, alphabet, max_len):
-    realized = realize_view(view, monoid)
+    realized = realize_views({"x": view}, monoid)["x"]
     if realized is None:
         return set()
     return bounded_language(realized, alphabet, max_len)
@@ -75,9 +74,9 @@ def sec6_views(monoid, target_auto):
     c_b1 = class_of(target_auto, ("b1",), monoid)
     c_b2 = class_of(target_auto, ("b2",), monoid)
     return {
-        "a1": RpqView.of_class(c_b1),
-        "a2": RpqView.of_class(c_b2),
-        "a3": RpqView.empty(),
+        "a1": frozenset({c_b1}),
+        "a2": frozenset({c_b2}),
+        "a3": frozenset(),
     }
 
 
@@ -90,7 +89,7 @@ def sec6_context(sec6_sound):
 
 def test_capture_check_sec6_passes(sec6_context):
     inst, target, monoid = sec6_context
-    result = capture_check(inst, sec6_views(monoid, target), monoid, "sound")
+    result = capture_check(inst, realize_views(sec6_views(monoid, target), monoid), "sound")
     assert result.ok
     assert result.per_mapping[0].witness == ("b1", "b2")
 
@@ -98,28 +97,24 @@ def test_capture_check_sec6_passes(sec6_context):
 def test_capture_check_corrupted_views(sec6_context):
     inst, target, monoid = sec6_context
     views = sec6_views(monoid, target)
-    views["a3"] = RpqView.of_class(class_of(target, ("b1",), monoid))
-    result = capture_check(inst, views, monoid, "sound")
+    views["a3"] = frozenset({class_of(target, ("b1",), monoid)})
+    result = capture_check(inst, realize_views(views, monoid), "sound")
     assert not result.ok
     assert result.per_mapping[0].separating == ("b1", "b1")
 
 
 def test_capture_check_all_empty_views_fails_nonemptiness(sec6_context):
     inst, _, monoid = sec6_context
-    views = {s: RpqView.empty() for s in ("a1", "a2", "a3")}
-    result = capture_check(inst, views, monoid, "sound")
+    views = {s: frozenset() for s in ("a1", "a2", "a3")}
+    result = capture_check(inst, realize_views(views, monoid), "sound")
     assert not result.ok
     assert not result.per_mapping[0].nonempty
     assert result.per_mapping[0].contained  # the empty language is contained
 
 
 def test_capture_check_explicit_views(sec6_sound):
-    views = {
-        "a1": RpqView.explicit(rx("b1")),
-        "a2": RpqView.explicit(rx("b2")),
-        "a3": RpqView.empty(),
-    }
-    assert capture_check(sec6_sound, views, None, "sound").ok
+    views = {"a1": rx("b1"), "a2": rx("b2"), "a3": None}
+    assert capture_check(sec6_sound, views, "sound").ok
 
 
 # --- synthesize_sound ------------------------------------------------------------
@@ -177,7 +172,7 @@ def test_exact_sec6_instance_finds_exact_views(sec6_exact):
     report = synthesize_exact(sec6_exact)
     assert report.found
     # verified exact both ways on the original mapping
-    check = capture_check(sec6_exact, report.views, report.monoid, "exact")
+    check = capture_check(sec6_exact, realize_views(report.views, report.monoid), "exact")
     assert check.ok
 
 
@@ -188,11 +183,8 @@ def test_exact_union_of_both_maxima_rejected(sec6_exact):
     monoid = report.monoid
     c0 = class_of(target, ("0",), monoid)
     c1 = class_of(target, ("1",), monoid)
-    union = {
-        "a1": RpqView.of_classes({c0, c1}),
-        "a2": RpqView.of_classes({c0, c1}),
-    }
-    result = capture_check(sec6_exact, union, monoid, "sound")
+    union = {"a1": frozenset({c0, c1}), "a2": frozenset({c0, c1})}
+    result = capture_check(sec6_exact, realize_views(union, monoid), "sound")
     assert not result.ok
     assert result.per_mapping[0].separating == ("1", "1")
 
@@ -201,8 +193,8 @@ def test_exact_union_of_both_maxima_rejected(sec6_exact):
 def test_explicit_view_word_outside_the_checker_alphabet_separates(mode):
     # the view reads z, which no query of the instance mentions
     inst = parse_instance("kind rpq\nsource a\ntarget b\nmap a ~> b\n")
-    view = RpqView.explicit(compile_regex(parse_regex("b|z", None)))
-    record = capture_check(inst, {"a": view}, None, mode).per_mapping[0]
+    view = compile_regex(parse_regex("b|z", None))
+    record = capture_check(inst, {"a": view}, mode).per_mapping[0]
     assert record.contained is False
     assert record.separating == ("z",)
 
@@ -220,9 +212,7 @@ def test_maximize_paper_seeds(sec6_exact):
     c0 = class_of(target, ("0",), monoid)
     c1 = class_of(target, ("1",), monoid)
 
-    seeded = maximize(
-        sec6_exact, {"a1": RpqView.of_class(c0), "a2": RpqView.of_class(c0)}
-    )
+    seeded = maximize(sec6_exact, {"a1": frozenset({c0}), "a2": frozenset({c0})})
     langs = {
         sym: view_language(v, monoid, {"0", "1"}, 2) for sym, v in seeded.items()
     }
@@ -232,7 +222,7 @@ def test_maximize_paper_seeds(sec6_exact):
         {"a1": {("0",), ("1",)}, "a2": {("0",)}},
     )
 
-    already = {"a1": RpqView.of_classes({c0, c1}), "a2": RpqView.of_class(c0)}
+    already = {"a1": frozenset({c0, c1}), "a2": frozenset({c0})}
     assert maximize(sec6_exact, already) == already
 
 
@@ -244,34 +234,31 @@ def test_maximize_postcondition(sec6_exact):
     )
     for sym in maximal:
         for index in range(len(monoid.elements)):
-            view = maximal[sym]
-            if view.classes is not None and index in view.classes:
+            if index in maximal[sym]:
                 continue
-            trial = dict(maximal)
-            trial[sym] = view.with_class(index)
-            assert not capture_check(sec6_exact, trial, monoid, "sound").ok
+            trial = {**maximal, sym: maximal[sym] | {index}}
+            assert not capture_check(sec6_exact, realize_views(trial, monoid), "sound").ok
 
 
 def test_maximize_identity_mapping_adds_nothing():
     inst = parse_instance("kind rpq\nsource a\ntarget b\nmap a ~> b\n")
     target = rx("b")
     monoid = transition_monoid(target, generators=("b",))
-    seed = {"a": RpqView.of_class(class_of(target, ("b",), monoid))}
+    seed = {"a": frozenset({class_of(target, ("b",), monoid)})}
     maximal = maximize(inst, seed)
     assert maximal == seed
     for index in range(len(monoid.elements)):
-        if index in maximal["a"].classes:
+        if index in maximal["a"]:
             continue
-        trial = {"a": maximal["a"].with_class(index)}
-        assert not capture_check(inst, trial, monoid, "sound").ok
+        trial = {"a": maximal["a"] | {index}}
+        assert not capture_check(inst, realize_views(trial, monoid), "sound").ok
 
 
 def test_maximize_rejects_noncapturing_seed(sec6_sound):
-    bad = {
-        "a1": RpqView.explicit(rx("b2")),
-        "a2": RpqView.explicit(rx("b2")),
-        "a3": RpqView.empty(),
-    }
+    target = rx("b1.b2")
+    monoid = transition_monoid(target, generators=("b1", "b2"))
+    c_b2 = frozenset({class_of(target, ("b2",), monoid)})
+    bad = {"a1": c_b2, "a2": c_b2, "a3": frozenset()}  # a1.a2 = b2.b2
     with pytest.raises(InputError):
         maximize(sec6_sound, bad)
 
@@ -283,22 +270,11 @@ def test_maximize_rejects_noncapturing_class_seed(sec6_sound):
         maximize(sec6_sound, views)
 
 
-def test_maximize_rejects_explicit_views(sec6_sound):
-    views = {
-        "a1": RpqView.explicit(rx("b1")),
-        "a2": RpqView.explicit(rx("b2")),
-        "a3": RpqView.empty(),
-    }
-    assert capture_check(sec6_sound, views, None, "sound").ok
-    with pytest.raises(InputError, match="explicit"):
-        maximize(sec6_sound, views)
-
-
-def test_view_is_classes_or_automaton_not_both():
-    with pytest.raises(InputError):
-        RpqView(classes=frozenset((0,)), automaton=rx("b"))
-    with pytest.raises(InputError):
-        RpqView.explicit(rx("b")).with_class(0)
+def test_maximize_grows_a_missing_view_like_the_empty_view():
+    inst = parse_instance("kind rpq\nsource a\ntarget b\nmap a|b ~> b\n")
+    grown = maximize(inst, {})
+    assert grown == maximize(inst, {"a": frozenset()})
+    assert grown["a"]
 
 
 def greedy_capture_pass(engine, views):
@@ -306,10 +282,9 @@ def greedy_capture_pass(engine, views):
     current = dict(views)
     for sym in engine.occurring:
         for index in range(len(engine.monoid.elements)):
-            view = current[sym]
-            if view.classes is not None and index in view.classes:
+            if index in current[sym]:
                 continue
-            candidate = {**current, sym: view.with_class(index)}
+            candidate = {**current, sym: current[sym] | {index}}
             if engine.assignment_ok(candidate):
                 current = candidate
     return current
@@ -345,14 +320,14 @@ def test_sound_solution_is_already_maximal(sec6_sound):
 
 def test_views_to_regex_single_class(sec6_context):
     _, target, monoid = sec6_context
-    views = {"x": RpqView.of_class(class_of(target, ("b1",), monoid))}
+    views = {"x": frozenset({class_of(target, ("b1",), monoid)})}
     rendered = views_to_regex(views, monoid)
     assert rendered["x"].render() == "b1"
 
 
 def test_views_to_regex_empty_token(sec6_context):
     _, _, monoid = sec6_context
-    rendered = views_to_regex({"x": RpqView.empty()}, monoid)
+    rendered = views_to_regex({"x": frozenset()}, monoid)
     assert rendered["x"].render() == "empty"
 
 
@@ -361,7 +336,7 @@ def test_views_to_regex_union_equivalent(sec6_exact):
     monoid = transition_monoid(target, generators=("0", "1"))
     c0 = class_of(target, ("0",), monoid)
     c1 = class_of(target, ("1",), monoid)
-    rendered = views_to_regex({"x": RpqView.of_classes({c0, c1})}, monoid)
+    rendered = views_to_regex({"x": frozenset({c0, c1})}, monoid)
     got = compile_regex(rendered["x"], {"0", "1"})
     want = compile_regex(parse_regex("0|1", {"0", "1"}))
     assert equivalent(got, want)
@@ -378,9 +353,7 @@ def test_found_views_survive_bounded_brute_reverification():
         if not report.found:
             continue
         checked += 1
-        realized = {
-            sym: realize_view(v, report.monoid) for sym, v in report.views.items()
-        }
+        realized = realize_views(report.views, report.monoid)
         for m in inst.mappings:
             src = compile_regex(m.source)
             tgt = compile_regex(m.target)
@@ -417,13 +390,11 @@ def test_congruence_closure_preserves_capture():
                 target.transitions,
             )
         monoid = transition_monoid(target, generators=inst.target_names)
-        views = {}
-        for sym, word in words.items():
-            if word is None:
-                views[sym] = RpqView.empty()
-            else:
-                views[sym] = RpqView.of_class(class_of(target, word, monoid))
-        assert capture_check(inst, views, monoid, "sound").ok
+        views = {
+            sym: frozenset() if word is None else frozenset({class_of(target, word, monoid)})
+            for sym, word in words.items()
+        }
+        assert capture_check(inst, realize_views(views, monoid), "sound").ok
         closures_checked += 1
     assert closures_checked >= 5
 
@@ -432,11 +403,11 @@ def canonical_key(views, instance, mode):
     """Sort key of the search order: EMPTY first, then the class index
     (sound) or the union size and its sorted classes (exact)."""
     def view_key(v):
-        if v.classes is None:
+        if not v:
             return (0,)
         if mode == "sound":
-            return (1, min(v.classes))
-        return (1, len(v.classes), tuple(sorted(v.classes)))
+            return (1, min(v))
+        return (1, len(v), tuple(sorted(v)))
 
     return tuple(view_key(views[s]) for s in instance.occurring_source_symbols())
 
@@ -481,11 +452,11 @@ def random_class_views(rng, engine, partial):
         if partial and r < 0.25:
             continue
         if r < 0.4:
-            views[sym] = RpqView.empty()
+            views[sym] = frozenset()
         elif r < 0.8:
-            views[sym] = RpqView.of_class(rng.randrange(m))
+            views[sym] = frozenset({rng.randrange(m)})
         else:
-            views[sym] = RpqView.of_classes(rng.sample(range(m), min(rng.randint(2, 3), m)))
+            views[sym] = frozenset(rng.sample(range(m), min(rng.randint(2, 3), m)))
     return views
 
 
@@ -506,7 +477,7 @@ def test_monoid_capture_agrees_with_automata(use_reduction):
         for trial in range(20):
             partial = trial % 4 == 0
             views = random_class_views(rng, engine, partial)
-            realized = {sym: realize_view(v, engine.monoid) for sym, v in views.items()}
+            realized = realize_views(views, engine.monoid)
             for sym in engine.occurring:
                 realized.setdefault(sym, None)
             contained = []
@@ -524,6 +495,27 @@ def test_monoid_capture_agrees_with_automata(use_reduction):
     # (nonempty, contained): every possible combination occurs often
     assert set(verdicts) == {(True, True), (True, False), (False, True)}
     assert min(verdicts.values()) >= 40
+
+
+@pytest.mark.parametrize("mode", ["sound", "exact"])
+def test_missing_view_is_the_empty_view(mode):
+    # the search leaves unassigned symbols out of its partial assignments
+    rng = random.Random(89)
+    accepted = 0
+    for _ in range(60):
+        inst = random_rpq_instance(rng, n_mappings=rng.randint(1, 2))
+        engine = _Engine(inst, mode)
+        try:
+            found = synthesize(inst, mode, find_all=True, budget=2_000).all_views or []
+        except BudgetExceeded:
+            found = []
+        for views in found[:8] + [random_class_views(rng, engine, False) for _ in range(4)]:
+            missing = {sym: v for sym, v in views.items() if v}
+            assert engine.prefix_ok(missing) == engine.prefix_ok(views)
+            ok = engine.assignment_ok(views)
+            assert engine.assignment_ok(missing) == ok
+            accepted += ok and len(missing) < len(views)
+    assert accepted >= 5
 
 
 @pytest.mark.parametrize("use_reduction", [True, False])
