@@ -28,7 +28,6 @@ from .model import (
 )
 from .parser import parse_cq, parse_instance, parse_regex, parse_ucq, parse_views
 from .automata import (
-    DWA,
     NWA,
     accepts,
     compile_regex,
@@ -45,7 +44,6 @@ from .automata import (
     to_dot,
 )
 from .congruence import (
-    StateRelation,
     TransitionMonoid,
     class_automaton,
     class_of,

@@ -10,7 +10,6 @@ requires epsilon-free input and calls it as needed.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from .errors import CapExceeded, InputError
 from .model import (
@@ -37,8 +36,8 @@ Transition = tuple[int, "str | None", int]
 class NWA:
     """A nondeterministic word automaton with dense integer states.
 
-    Multiple initial states are allowed internally; exports that need a
-    single initial state go through :meth:`with_single_initial`.
+    Multiple initial states are allowed.  A deterministic automaton is an
+    NWA with one initial state and one successor per state and symbol.
     """
 
     __slots__ = ("n_states", "alphabet", "initials", "finals", "transitions", "_step")
@@ -78,56 +77,11 @@ class NWA:
     def labels_present(self) -> frozenset[str]:
         return frozenset(a for _, a, _ in self.transitions if a is not None)
 
-    def with_single_initial(self) -> "NWA":
-        """The same language with exactly one initial state (for export)."""
-        if len(self.initials) == 1:
-            return self
-        fresh = self.n_states
-        extra = {(fresh, None, i) for i in self.initials}
-        return NWA(
-            self.n_states + 1,
-            self.alphabet,
-            {fresh},
-            self.finals,
-            set(self.transitions) | extra,
-        )
-
     def __repr__(self):
         return (
             f"NWA(states={self.n_states}, |transitions|={len(self.transitions)}, "
             f"initials={sorted(self.initials)}, finals={sorted(self.finals)})"
         )
-
-
-@dataclass(frozen=True)
-class DWA:
-    """A complete deterministic word automaton."""
-
-    n_states: int
-    alphabet: frozenset[str]
-    initial: int
-    delta: dict[tuple[int, str], int]
-    finals: frozenset[int]
-
-    def is_complete(self) -> bool:
-        return all(
-            (s, a) in self.delta for s in range(self.n_states) for a in self.alphabet
-        )
-
-    def as_nwa(self) -> NWA:
-        return NWA(
-            self.n_states,
-            self.alphabet,
-            {self.initial},
-            self.finals,
-            {(p, a, q) for (p, a), q in self.delta.items()},
-        )
-
-    def accepts(self, word: Word) -> bool:
-        state = self.initial
-        for a in word:
-            state = self.delta[(state, a)]
-        return state in self.finals
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +234,9 @@ def product(a: NWA, b: NWA, alphabet=None) -> NWA:
     return NWA(max(len(index), 1), labels, initials, finals, transitions)
 
 
-def determinize(a: NWA, cap: int = DEFAULT_DET_CAP, alphabet=None) -> DWA:
-    """Subset construction; the result is complete (a sink is added as needed).
+def determinize(a: NWA, cap: int = DEFAULT_DET_CAP, alphabet=None) -> NWA:
+    """Subset construction: a complete deterministic NWA with initial state 0
+    (a sink is added as needed).
 
     Raises :class:`CapExceeded` when more than ``cap`` subset states appear.
     """
@@ -291,7 +246,7 @@ def determinize(a: NWA, cap: int = DEFAULT_DET_CAP, alphabet=None) -> DWA:
     labels = sorted(frozenset(alphabet) if alphabet is not None else a.alphabet)
     start = frozenset(a.initials)
     index: dict[frozenset[int], int] = {start: 0}
-    delta: dict[tuple[int, str], int] = {}
+    transitions: set[Transition] = set()
     finals: set[int] = set()
     queue: deque[frozenset[int]] = deque([start])
     while queue:
@@ -306,21 +261,19 @@ def determinize(a: NWA, cap: int = DEFAULT_DET_CAP, alphabet=None) -> DWA:
                     raise CapExceeded("determinization", cap)
                 index[nxt] = len(index)
                 queue.append(nxt)
-            delta[(src, label)] = index[nxt]
-    return DWA(len(index), frozenset(labels), 0, delta, frozenset(finals))
+            transitions.add((src, label, index[nxt]))
+    return NWA(len(index), labels, {0}, finals, transitions)
 
 
-def complement(d: DWA) -> DWA:
-    """Complement of a complete DWA over its own alphabet."""
-    if not d.is_complete():
-        raise InputError("complement requires a complete DWA")
-    return DWA(
-        d.n_states,
-        d.alphabet,
-        d.initial,
-        d.delta,
-        frozenset(range(d.n_states)) - d.finals,
+def complement(a: NWA) -> NWA:
+    """Complement of a complete deterministic NWA over its own alphabet."""
+    deterministic = len(a.initials) == 1 and not a.has_epsilon and all(
+        len(a.step(s, x)) == 1 for s in range(a.n_states) for x in a.alphabet
     )
+    if not deterministic:
+        raise InputError("complement requires a complete deterministic automaton")
+    finals = set(range(a.n_states)) - a.finals
+    return NWA(a.n_states, a.alphabet, a.initials, finals, a.transitions)
 
 
 def accepts(a: NWA, word: Word) -> bool:
@@ -371,7 +324,7 @@ def difference_witness(
 ) -> Word | None:
     """A shortest word in L(a) \\ L(b), or ``None`` when L(a) is contained in L(b)."""
     labels = a.alphabet | b.alphabet
-    comp = complement(determinize(b, cap=cap, alphabet=labels)).as_nwa()
+    comp = complement(determinize(b, cap=cap, alphabet=labels))
     empty, witness = is_empty(product(a, comp, alphabet=labels))
     return None if empty else witness
 
@@ -475,7 +428,6 @@ def nwa_to_regex(a: NWA) -> Regex:
 
 def to_dot(a: NWA, name: str = "nwa") -> str:
     """GraphViz rendering for debugging."""
-    a = a.with_single_initial()
     lines = [f"digraph {name} {{", "  rankdir=LR;", '  hidden [shape=point, label=""];']
     for s in range(a.n_states):
         shape = "doublecircle" if s in a.finals else "circle"

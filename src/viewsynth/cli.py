@@ -21,7 +21,7 @@ from .automata import (
     difference_witness,
     to_dot,
 )
-from .congruence import DEFAULT_MONOID_CAP, transition_monoid
+from .congruence import DEFAULT_MONOID_CAP, pairs, transition_monoid
 from .cq_synth import capture_check_cq, synthesize_cq, ucq_contains
 from .oracle import (
     brute_view_existence_rpq,
@@ -323,9 +323,9 @@ def cmd_monoid(args) -> int:
     ]
     for i, element in enumerate(monoid.elements):
         witness = " ".join(monoid.witnesses[i]) or "eps"
-        pairs = ", ".join(f"({p},{q})" for p, q in sorted(element.pairs())) or "(none)"
+        relation = ", ".join(f"({p},{q})" for p, q in pairs(element)) or "(none)"
         tag = " = identity" if i == monoid.identity_index else ""
-        lines.append(f"element {i}{tag}: witness '{witness}' relation {{{pairs}}}")
+        lines.append(f"element {i}{tag}: witness '{witness}' relation {{{relation}}}")
     payload = {"automaton_states": auto.n_states, "monoid": monoid.to_json()}
     _emit(args, payload, "\n".join(lines))
     return 0

@@ -3,9 +3,11 @@
 Every word ``w`` over the target alphabet induces a binary relation on the
 states of the target NWA (``p`` relates to ``q`` when reading ``w`` from
 ``p`` can reach ``q``).  Words inducing the same relation form one
-congruence class.  Only relations actually realized by some word are
-enumerated: unrealized relations have empty classes and can never serve as
-views, and the realized set is closed under composition by construction.
+congruence class.  A relation over ``n`` states is a tuple of ``n`` row
+bitmasks: bit ``j`` of ``rows[i]`` is set when ``(i, j)`` is in it.  Only
+relations actually realized by some word are enumerated: unrealized
+relations have empty classes and can never serve as views, and the realized
+set is closed under composition by construction.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .errors import CapExceeded, InputError
 from .model import Word
-from .automata import DWA, NWA
+from .automata import NWA
 
 DEFAULT_MONOID_CAP = 100_000
 
@@ -31,57 +33,23 @@ def image(rows, members: int) -> int:
     return acc
 
 
-@dataclass(frozen=True)
-class StateRelation:
-    """A binary relation over ``n`` automaton states, stored as bitset rows.
-
-    ``rows[i]`` has bit ``j`` set when ``(i, j)`` is in the relation.  The
-    single-integer ``encoding`` (row ``i`` shifted by ``i*n``) provides the
-    canonical order used everywhere.
-    """
-
-    n: int
-    rows: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.rows) != self.n:
-            raise InputError("relation row count does not match dimension")
-
-    @property
-    def encoding(self) -> int:
-        code = 0
-        for i, row in enumerate(self.rows):
-            code |= row << (i * self.n)
-        return code
-
-    @staticmethod
-    def identity(n: int) -> "StateRelation":
-        return StateRelation(n, tuple(1 << i for i in range(n)))
-
-    @staticmethod
-    def from_pairs(n: int, pairs) -> "StateRelation":
-        rows = [0] * n
-        for i, j in pairs:
-            rows[i] |= 1 << j
-        return StateRelation(n, tuple(rows))
-
-    def pairs(self) -> list[tuple[int, int]]:
-        out = []
-        for i, row in enumerate(self.rows):
-            while row:
-                low = row & -row
-                out.append((i, low.bit_length() - 1))
-                row ^= low
-        return out
-
-    def compose(self, other: "StateRelation") -> "StateRelation":
-        """Relational composition (boolean matrix product)."""
-        if self.n != other.n:
-            raise InputError("relation dimensions differ")
-        return StateRelation(self.n, tuple(image(other.rows, row) for row in self.rows))
+def compose(r: tuple[int, ...], s: tuple[int, ...]) -> tuple[int, ...]:
+    """Relational composition ``r`` then ``s`` (boolean matrix product)."""
+    return tuple(image(s, row) for row in r)
 
 
-def relation_of_word(a: NWA, word: Word) -> StateRelation:
+def pairs(r: tuple[int, ...]) -> list[tuple[int, int]]:
+    """The ``(i, j)`` pairs of a relation, in sorted order."""
+    out = []
+    for i, row in enumerate(r):
+        while row:
+            low = row & -row
+            out.append((i, low.bit_length() - 1))
+            row ^= low
+    return out
+
+
+def relation_of_word(a: NWA, word: Word) -> tuple[int, ...]:
     """The relation ``{(p, q) : q reachable from p by reading word}``."""
     if a.has_epsilon:
         raise InputError("relation_of_word needs an epsilon-free automaton")
@@ -100,30 +68,30 @@ def relation_of_word(a: NWA, word: Word) -> StateRelation:
         for q in current:
             mask |= 1 << q
         rows.append(mask)
-    return StateRelation(n, tuple(rows))
+    return tuple(rows)
 
 
 @dataclass(frozen=True)
 class TransitionMonoid:
     """The word-realized relations of an NWA, closed under composition.
 
-    ``elements`` is canonically ordered by relation encoding; each element
+    ``elements`` is in canonical order: by the integer that shifts row
+    ``i`` by ``i * n`` bits, so by the reversed row tuples.  Each element
     carries one shortest witness word realizing it.  The generator alphabet
     may be a subset of the automaton's alphabet (used after the
     multi-mapping reduction, where the separator symbol never occurs in a
     view language).
     """
 
-    n: int
     alphabet: tuple[str, ...]
-    elements: tuple[StateRelation, ...]
+    elements: tuple[tuple[int, ...], ...]
     witnesses: tuple[Word, ...]
     identity_index: int
-    _index_of: dict[int, int] = field(compare=False)
+    _index_of: dict[tuple[int, ...], int] = field(compare=False)
     _right_mul: dict[tuple[int, str], int] = field(compare=False)
 
-    def index_of(self, relation: StateRelation) -> int:
-        idx = self._index_of.get(relation.encoding)
+    def index_of(self, relation: tuple[int, ...]) -> int:
+        idx = self._index_of.get(relation)
         if idx is None:
             raise InputError("relation is not realized by any word")
         return idx
@@ -142,7 +110,7 @@ class TransitionMonoid:
             "elements": [
                 {
                     "index": i,
-                    "pairs": sorted(e.pairs()),
+                    "pairs": pairs(e),
                     "witness": list(self.witnesses[i]),
                 }
                 for i, e in enumerate(self.elements)
@@ -167,69 +135,61 @@ def transition_monoid(
         if g not in a.alphabet:
             raise InputError(f"generator {g!r} outside the automaton's alphabet")
     n = a.n_states
-    gen_rel = {
-        g: StateRelation.from_pairs(
-            n, ((p, q) for p, x, q in a.transitions if x == g)
-        )
-        for g in alphabet
-    }
+    gen_rel = {}
+    for g in alphabet:
+        rows = [0] * n
+        for p, x, q in a.transitions:
+            if x == g:
+                rows[p] |= 1 << q
+        gen_rel[g] = tuple(rows)
 
-    identity = StateRelation.identity(n)
-    discovered: dict[int, tuple[StateRelation, Word]] = {
-        identity.encoding: (identity, ())
-    }
-    products: dict[tuple[int, str], int] = {}  # (code, generator) -> code of the product
-    queue: deque[int] = deque([identity.encoding])
+    identity = tuple(1 << i for i in range(n))
+    discovered: dict[tuple[int, ...], Word] = {identity: ()}
+    products: dict[tuple[tuple[int, ...], str], tuple[int, ...]] = {}
+    queue: deque[tuple[int, ...]] = deque([identity])
     while queue:
-        code = queue.popleft()
-        rel, word = discovered[code]
+        rel = queue.popleft()
+        word = discovered[rel]
         for g in alphabet:
-            nxt = rel.compose(gen_rel[g])
-            nxt_code = products[(code, g)] = nxt.encoding
-            if nxt_code not in discovered:
+            nxt = products[(rel, g)] = compose(rel, gen_rel[g])
+            if nxt not in discovered:
                 if len(discovered) >= cap:
                     raise CapExceeded("transition monoid", cap)
-                discovered[nxt_code] = (nxt, word + (g,))
-                queue.append(nxt_code)
+                discovered[nxt] = word + (g,)
+                queue.append(nxt)
 
-    ordered = sorted(discovered)
-    elements = tuple(discovered[c][0] for c in ordered)
-    witnesses = tuple(discovered[c][1] for c in ordered)
-    index_of = {c: i for i, c in enumerate(ordered)}
-    right_mul = {(index_of[c], g): index_of[prod] for (c, g), prod in products.items()}
+    elements = tuple(sorted(discovered, key=lambda rel: rel[::-1]))
+    index_of = {rel: i for i, rel in enumerate(elements)}
+    right_mul = {(index_of[rel], g): index_of[prod] for (rel, g), prod in products.items()}
     return TransitionMonoid(
-        n=n,
         alphabet=alphabet,
         elements=elements,
-        witnesses=witnesses,
-        identity_index=index_of[identity.encoding],
+        witnesses=tuple(discovered[rel] for rel in elements),
+        identity_index=index_of[identity],
         _index_of=index_of,
         _right_mul=right_mul,
     )
 
 
-def class_automaton(monoid: TransitionMonoid, element) -> DWA:
-    """The DWA accepting exactly the congruence class of one monoid element.
+def class_automaton(monoid: TransitionMonoid, element) -> NWA:
+    """The deterministic NWA accepting exactly the congruence class of one
+    monoid element.
 
     ``element`` may also be a set of element indices, in which case the
     result accepts the union of the classes (the automaton is the same, only
     the final-state set changes).
     """
     finals = {element} if isinstance(element, int) else set(element)
-    for f in finals:
-        if not 0 <= f < len(monoid.elements):
-            raise InputError(f"element index {f} outside the monoid")
-    delta = {
-        (i, g): monoid.right_multiply(i, g)
-        for i in range(len(monoid.elements))
-        for g in monoid.alphabet
-    }
-    return DWA(
-        n_states=len(monoid.elements),
-        alphabet=frozenset(monoid.alphabet),
-        initial=monoid.identity_index,
-        delta=delta,
-        finals=frozenset(finals),
+    return NWA(
+        len(monoid.elements),
+        monoid.alphabet,
+        {monoid.identity_index},
+        finals,
+        {
+            (i, g, monoid.right_multiply(i, g))
+            for i in range(len(monoid.elements))
+            for g in monoid.alphabet
+        },
     )
 
 

@@ -247,10 +247,14 @@ def enumerate_view_candidates(
     arity: int,
     target_schema: dict[str, int],
     bounds: SynthesisBounds,
+    keep,
 ) -> list[CQ]:
-    """All canonical candidate CQ views for one source predicate."""
+    """The canonical candidate CQ views for one source predicate that pass
+    ``keep``.  Each distinct candidate meets ``keep`` once, as soon as it is
+    built, so a filter that spends a budget stops the enumeration too."""
     max_arity = max(target_schema.values(), default=2)
-    candidates: set[CQ] = set()
+    seen: set[CQ] = set()
+    kept: list[CQ] = []
     for head in _head_patterns(arity):
         head_vars = sorted(set(head))
         n_exist = max(0, bounds.atom_bound * max_arity - len(head_vars))
@@ -265,9 +269,12 @@ def enumerate_view_candidates(
                 body_vars = {v for a in body for v in a.args}
                 if not set(head_vars) <= body_vars:
                     continue
-                canon = _canonical_existentials(tuple(body), set(head_vars))
-                candidates.add(CQ(head, canon))
-    return sorted(candidates, key=lambda c: (len(c.atoms), c.render()))
+                view = CQ(head, _canonical_existentials(tuple(body), set(head_vars)))
+                if view not in seen:
+                    seen.add(view)
+                    if keep(view):
+                        kept.append(view)
+    return sorted(kept, key=lambda c: (len(c.atoms), c.render()))
 
 
 # ---------------------------------------------------------------------------
@@ -431,10 +438,12 @@ def synthesize_cq(
     # per-symbol candidates, locally filtered
     options: dict[str, list[CqView]] = {}
     for sym in occurring:
-        singles = enumerate_view_candidates(
-            instance.symbols[sym].arity, target_schema, bounds
+        plausible = enumerate_view_candidates(
+            instance.symbols[sym].arity,
+            target_schema,
+            bounds,
+            lambda view: sound_prefix_ok({sym: view}),
         )
-        plausible = [v for v in singles if sound_prefix_ok({sym: v})]
         opts: list[CqView] = [None, *plausible]
         if view_kind == "ucq" and (mode == "exact" or find_all):
             for size in range(2, bounds.disjunct_bound + 1):

@@ -4,7 +4,8 @@ Everything here re-derives its answers from first principles (graph
 reachability, word enumeration, homomorphism enumeration) without calling
 into the determinize/complement containment pipeline, so agreement between
 this module and the engine is meaningful evidence.  The only shared code is
-the plain data types (NWA, CQ, ...).
+the errors, the model's data types, and from automata the NWA type with
+regex compilation and epsilon elimination.
 """
 
 from __future__ import annotations

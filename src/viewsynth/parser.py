@@ -319,25 +319,18 @@ def _parse_mapping(text: str, kind: str, symbols: dict[str, SymbolId], lineno: i
         raise ParseError("a mapping needs '~>'", lineno)
     src_text, _, tgt_text = text.partition("~>")
     source_names = {n for n, s in symbols.items() if s.kind == "source"}
-    target_names = {n for n, s in symbols.items() if s.kind == "target"}
 
     if kind in PATH_KINDS:
         two_way = kind == "2rpq"
-        both = source_names | target_names
-        src = parse_regex(src_text, both, two_way=two_way, line=lineno)
-        tgt = parse_regex(tgt_text, both, two_way=two_way, line=lineno)
-        _check_target_only(tgt, source_names, lineno)
+        src = parse_regex(src_text, set(symbols), two_way=two_way, line=lineno)
+        tgt = parse_regex(tgt_text, set(symbols), two_way=two_way, line=lineno)
+        _check_target_only(map(base_label, tgt.symbols()), source_names, lineno)
         return Mapping(source=src, target=tgt)
 
-    schema_both = {n: s.arity for n, s in symbols.items()}
-    schema_tgt = {n: s.arity for n, s in symbols.items() if s.kind == "target"}
-    src = parse_ucq(src_text, schema_both, line=lineno)
-    try:
-        tgt = parse_ucq(tgt_text, schema_tgt, line=lineno)
-    except ParseError as exc:
-        if "undeclared" in str(exc) and any(n in tgt_text for n in source_names):
-            raise ParseError("source symbol used in a target query", lineno) from exc
-        raise
+    schema = {n: s.arity for n, s in symbols.items()}
+    src = parse_ucq(src_text, schema, line=lineno)
+    tgt = parse_ucq(tgt_text, schema, line=lineno)
+    _check_target_only(sorted(tgt.predicates()), source_names, lineno)
     if kind == "cq":
         for q in (src, tgt):
             if len(q.disjuncts) != 1:
@@ -347,12 +340,10 @@ def _parse_mapping(text: str, kind: str, symbols: dict[str, SymbolId], lineno: i
     return Mapping(source=src, target=tgt)
 
 
-def _check_target_only(node: Regex, source_names: set[str], lineno: int) -> None:
-    for label in node.symbols():
-        if base_label(label) in source_names:
-            raise ParseError(
-                f"source symbol {base_label(label)!r} used in a target query", lineno
-            )
+def _check_target_only(names, source_names: set[str], lineno: int) -> None:
+    for name in names:
+        if name in source_names:
+            raise ParseError(f"source symbol {name!r} used in a target query", lineno)
 
 
 # ---------------------------------------------------------------------------

@@ -57,7 +57,7 @@ ClassViews = dict[str, frozenset[int]]
 def realize_views(views: ClassViews, monoid: TransitionMonoid) -> dict[str, "NWA | None"]:
     """Each class view's language as an NWA (``None`` for the empty view)."""
     return {
-        sym: class_automaton(monoid, classes).as_nwa() if classes else None
+        sym: class_automaton(monoid, classes) if classes else None
         for sym, classes in views.items()
     }
 
@@ -300,7 +300,7 @@ class _ClassCapture:
         def rows_of(word: Word) -> tuple[int, ...]:
             if not set(word) <= t.alphabet:
                 return (0,) * t.n_states  # T never reads a symbol outside its alphabet
-            return relation_of_word(t, word).rows
+            return relation_of_word(t, word)
 
         self.class_rows = [rows_of(w) for w in monoid.witnesses]
         self.start = sum(1 << s for s in t.initials)

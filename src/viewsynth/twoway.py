@@ -20,15 +20,13 @@ from collections import deque
 
 from .errors import CapExceeded, InputError
 from .model import Word, inverse
-from .automata import NWA, contains, eliminate_epsilon
+from .automata import DEFAULT_DET_CAP, NWA, contains, eliminate_epsilon
 from .congruence import image
 
 LEFT_END = "⊢"   # ⊢
 RIGHT_END = "⊣"  # ⊣
 LEFT = "left"
 RIGHT = "right"
-
-DEFAULT_TWOWAY_CAP = 100_000
 
 TwoTransition = tuple[int, str, str, int]
 
@@ -177,7 +175,7 @@ def fold_automaton(a: NWA) -> TwoNWA:
 # Two-way to one-way (crossing-relation construction)
 # ---------------------------------------------------------------------------
 
-def two_to_one(t: TwoNWA, cap: int = DEFAULT_TWOWAY_CAP, within: NWA | None = None) -> NWA:
+def two_to_one(t: TwoNWA, cap: int = DEFAULT_DET_CAP, within: NWA | None = None) -> NWA:
     """An equivalent one-way NWA, via Shepherdson-style crossing summaries.
 
     Reading the input left to right, the construction tracks, for the tape
@@ -290,7 +288,7 @@ def two_to_one(t: TwoNWA, cap: int = DEFAULT_TWOWAY_CAP, within: NWA | None = No
     return NWA(len(index), t.alphabet, {0}, finals, transitions)
 
 
-def contains_2rpq(q1: NWA, q2: NWA, cap: int = DEFAULT_TWOWAY_CAP) -> bool:
+def contains_2rpq(q1: NWA, q2: NWA, cap: int = DEFAULT_DET_CAP) -> bool:
     """2RPQ containment: L(q1) must fall inside fold(L(q2))."""
     # only words of L(q1) are ever read against the fold, so the conversion
     # builds just the crossing states their prefixes reach

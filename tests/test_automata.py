@@ -71,8 +71,7 @@ def test_product_self_witness():
 
 
 def test_complement_examples():
-    d = complement(determinize(rx("b1.b2"), alphabet={"b1", "b2"}))
-    c = d.as_nwa()
+    c = complement(determinize(rx("b1.b2"), alphabet={"b1", "b2"}))
     assert accepts(c, ())
     assert accepts(c, ("b1",))
     assert accepts(c, ("b1", "b2", "b1"))
@@ -88,7 +87,8 @@ def test_determinize_two_initial_states():
         finals={1, 4},
         transitions={(0, "b1", 1), (2, "b1", 3), (3, "b1", 4)},
     )
-    d = determinize(a).as_nwa()
+    d = determinize(a)
+    assert d.initials == {0}
     for w in all_words({"b1"}, 4):
         assert accepts(d, w) == (w in {("b1",), ("b1", "b1")})
 
@@ -99,11 +99,23 @@ def test_determinize_cap():
 
 
 def test_complement_requires_complete():
-    from viewsynth.automata import DWA
-
-    partial = DWA(1, frozenset({"b1"}), 0, {}, frozenset())
+    partial = NWA(1, {"b1"}, {0}, set(), set())
     with pytest.raises(InputError):
         complement(partial)
+
+
+@pytest.mark.parametrize(
+    "initials, transitions",
+    [
+        ({0, 1}, {(0, "b1", 0), (1, "b1", 1)}),
+        ({0}, {(0, "b1", 0), (0, "b1", 1), (1, "b1", 1)}),
+        ({0}, {(0, "b1", 0), (1, "b1", 1), (0, None, 1)}),
+    ],
+    ids=["two-initials", "two-successors", "epsilon"],
+)
+def test_complement_requires_deterministic(initials, transitions):
+    with pytest.raises(InputError):
+        complement(NWA(2, {"b1"}, initials, {1}, transitions))
 
 
 # --- containment ------------------------------------------------------------
@@ -177,7 +189,7 @@ def test_product_complement_pointwise(r1, r2):
     alphabet = {"b1", "b2"}
     a, b = compile_regex(r1, alphabet), compile_regex(r2, alphabet)
     prod = product(a, b, alphabet=alphabet)
-    comp = complement(determinize(a, alphabet=alphabet)).as_nwa()
+    comp = complement(determinize(a, alphabet=alphabet))
     for w in all_words(alphabet, 3):
         assert accepts(prod, w) == (accepts(a, w) and accepts(b, w))
         assert accepts(comp, w) == (not accepts(a, w))
@@ -236,6 +248,15 @@ def test_epsilon_elimination():
 def test_dot_export_mentions_states():
     dot = to_dot(rx("b1.b2"))
     assert "digraph" in dot and "doublecircle" in dot
+
+
+def test_dot_export_draws_an_arrow_per_initial_state():
+    dot = to_dot(NWA(2, {"b1"}, {0, 1}, {1}, {(0, "b1", 1)}))
+    assert [line for line in dot.splitlines() if "hidden ->" in line] == [
+        "  hidden -> q0;",
+        "  hidden -> q1;",
+    ]
+    assert "q2" not in dot
 
 
 def test_language_enumeration_shortest_first():

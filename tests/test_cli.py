@@ -285,7 +285,7 @@ def _fuzz_regex(rng, labels, depth=3):
 
 def _fuzz_cq(rng):
     atoms = [f"{rng.choice('rs')}({rng.choice('xyz')},{rng.choice('xyz')})"
-             for _ in range(rng.randint(1, 2))]
+             for _ in range(rng.randint(1, 3))]
     return "q(x,y) :- " + ", ".join(atoms)
 
 
@@ -441,6 +441,31 @@ def test_monoid_json(capsys):
     assert payload["monoid"]["size"] == 5
 
 
+MONOID_TEXT = {
+    "b1.b2": (
+        "automaton states: 3\n"
+        "monoid size: 5\n"
+        "element 0: witness 'b1 b1' relation {(none)}\n"
+        "element 1: witness 'b1' relation {(0,1)}\n"
+        "element 2: witness 'b1 b2' relation {(0,2)}\n"
+        "element 3: witness 'b2' relation {(1,2)}\n"
+        "element 4 = identity: witness 'eps' relation {(0,0), (1,1), (2,2)}\n"
+    ),
+    "(b1|b2)*.b1": (
+        "automaton states: 4\n"
+        "monoid size: 3\n"
+        "element 0: witness 'b2' relation {(0,2), (1,2), (2,2)}\n"
+        "element 1: witness 'b1' relation {(0,1), (0,3), (1,1), (1,3), (2,1), (2,3)}\n"
+        "element 2 = identity: witness 'eps' relation {(0,0), (1,1), (2,2), (3,3)}\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("regex", sorted(MONOID_TEXT))
+def test_monoid_text_is_pinned(capsys, regex):
+    assert run(capsys, "monoid", regex) == (0, MONOID_TEXT[regex], "")
+
+
 # --- oracle -----------------------------------------------------------------------
 
 def test_oracle_eval(capsys):
@@ -506,6 +531,44 @@ def test_dot_export(capsys, tmp_path):
     code, _, _ = run(capsys, "contain", "--dot", str(outdir), "b1", "b1|b2")
     assert code == 0
     assert (outdir / "q1.dot").read_text(encoding="utf-8").startswith("digraph")
+
+
+def _dot(name, finals, edges):
+    """The DOT text of an automaton with states ``0..len(finals)-1``,
+    initial state 0 and the given ``(p, q, label)`` edges."""
+    lines = [f"digraph {name} {{", "  rankdir=LR;", '  hidden [shape=point, label=""];']
+    for s, final in enumerate(finals):
+        shape = "doublecircle" if final else "circle"
+        lines.append(f'  q{s} [shape={shape}, label="{s}"];')
+    lines.append("  hidden -> q0;")
+    lines += [f'  q{p} -> q{q} [label="{label}"];' for p, q, label in edges]
+    return "\n".join(lines + ["}"])
+
+
+def test_contain_dot_files_are_pinned(capsys, tmp_path):
+    outdir = tmp_path / "dots"
+    code, _, _ = run(capsys, "contain", "--dot", str(outdir), "b1.b2|b1", "b1.(b2|eps)")
+    assert code == 0
+    assert (outdir / "q1.dot").read_text(encoding="utf-8") == _dot(
+        "q1", [0, 0, 1, 1], [(0, 1, "b1"), (0, 3, "b1"), (1, 2, "b2")]
+    )
+    assert (outdir / "q2.dot").read_text(encoding="utf-8") == _dot(
+        "q2", [0, 1, 1], [(0, 1, "b1"), (1, 2, "b2")]
+    )
+
+
+def test_synth_dot_files_are_pinned(capsys, tmp_path):
+    outdir = tmp_path / "dots"
+    two = str(DEMOS / "instances" / "two_mappings.vs")
+    assert run(capsys, "synth", "--dot", str(outdir), two)[0] == 0
+    assert (outdir / "source.dot").read_text(encoding="utf-8") == _dot(
+        "source", [0, 0, 0, 0, 1], [(0, 1, "a1"), (1, 2, "#"), (2, 3, "a2"), (3, 4, "b1")]
+    )
+    assert (outdir / "target.dot").read_text(encoding="utf-8") == _dot(
+        "target",
+        [0, 0, 0, 0, 0, 1],
+        [(0, 1, "b1"), (1, 2, "b1"), (2, 3, "#"), (3, 4, "b2"), (4, 5, "b1")],
+    )
 
 
 def test_version_flag(capsys):

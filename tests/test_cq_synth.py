@@ -6,6 +6,7 @@ import pytest
 from viewsynth.errors import BudgetExceeded, InputError
 from viewsynth.model import Atom, CQ, UCQ
 from viewsynth.parser import parse_cq, parse_instance, parse_ucq
+from viewsynth import cq_synth
 from viewsynth.cq_synth import (
     bounds_for,
     capture_check_cq,
@@ -181,12 +182,33 @@ def test_bounds_for_chain(chain_cq):
 
 def test_candidates_are_canonical_and_deduplicated(chain_cq):
     bounds = bounds_for(chain_cq)
-    candidates = enumerate_view_candidates(2, {"r": 2, "s": 2}, bounds)
+    candidates = enumerate_view_candidates(2, {"r": 2, "s": 2}, bounds, lambda view: True)
     assert len(candidates) == len(set(candidates))
     rendered = {c.render() for c in candidates}
     assert "q(h0,h1) :- r(h0,e0), s(e0,h1)" in rendered
     # isomorphic variant with swapped existential names is not present twice
     assert "q(h0,h1) :- r(h0,e1), s(e1,h1)" not in rendered
+
+
+def test_budget_stops_candidate_enumeration(monkeypatch):
+    # the whole enumeration for this 3-atom target canonicalizes over 67,000
+    # bodies; the budget has to stop it long before that
+    inst = parse_instance(
+        "kind cq\nsource a/2\ntarget r/2 s/2\n"
+        "map q(x,y) :- a(x,y) ~> q(x,y) :- r(x,z), s(y,y), s(x,z)\n"
+    )
+    calls = 0
+    canonical = cq_synth._canonical_existentials
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return canonical(*args)
+
+    monkeypatch.setattr(cq_synth, "_canonical_existentials", counted)
+    with pytest.raises(BudgetExceeded):
+        synthesize_cq(inst, budget=200)
+    assert 0 < calls < 5_000
 
 
 # --- synthesize_cq -------------------------------------------------------------------

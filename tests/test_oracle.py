@@ -1,4 +1,6 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
@@ -221,3 +223,23 @@ def test_random_instance_generator_is_seeded():
     a = random_rpq_instance(random.Random(99))
     b = random_rpq_instance(random.Random(99))
     assert a.mappings[0].render() == b.mappings[0].render()
+
+
+def test_oracle_imports_only_the_shared_data_types():
+    # the referee stays independent of the engine it referees: besides the
+    # standard library it reads only errors, the model, and from automata
+    # the NWA type with regex compilation and epsilon elimination
+    source = Path(__file__).resolve().parent.parent / "src" / "viewsynth" / "oracle.py"
+    tree = ast.parse(source.read_text(encoding="utf-8"))
+    allowed = {"errors": None, "model": None,
+               "automata": {"NWA", "compile_regex", "eliminate_epsilon"}}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any(a.name.split(".")[0] == "viewsynth" for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 0:
+                assert (node.module or "").split(".")[0] != "viewsynth", node.module
+                continue
+            assert node.level == 1 and node.module in allowed, node.module
+            names = {a.name for a in node.names}
+            assert allowed[node.module] is None or names <= allowed[node.module], names

@@ -43,6 +43,19 @@ def test_source_symbol_in_target_query_rejected():
         parse_instance(text)
 
 
+@pytest.mark.parametrize(
+    "target, message",
+    [
+        ("r(x,y), ab(x,y)", "undeclared symbol 'ab'"),
+        ("r(x,y), a(x,y)", "source symbol 'a' used in a target query"),
+    ],
+)
+def test_cq_target_error_names_the_problem(target, message):
+    text = f"kind cq\nsource a/2\ntarget r/2\nmap q(x,y) :- a(x,y) ~> q(x,y) :- {target}"
+    with pytest.raises(ParseError, match=message):
+        parse_instance(text)
+
+
 def test_duplicate_symbol_rejected():
     with pytest.raises(ParseError, match="twice"):
         parse_instance("kind rpq\nsource a a\ntarget b\nmap a ~> b")
