@@ -50,8 +50,8 @@ from .congruence import (
     relation_of_word,
     transition_monoid,
 )
+from .report import CaptureResult, Check, SynthesisReport
 from .rpq_synth import (
-    SynthesisReport,
     capture_check,
     maximize,
     realize_views,
@@ -62,7 +62,6 @@ from .rpq_synth import (
     views_to_regex,
 )
 from .cq_synth import (
-    CqSynthesisReport,
     SynthesisBounds,
     capture_check_cq,
     cq_substitute,

@@ -34,7 +34,6 @@ from .oracle import (
 )
 from .rpq_synth import (
     DEFAULT_SEARCH_BUDGET,
-    CaptureResult,
     capture_check,
     reduce_to_single_mapping,
     synthesize,
@@ -234,8 +233,8 @@ def cmd_synth(args) -> int:
     lines = [f"outcome: {report.outcome}"]
     if report.found:
         lines += _solution_lines(payload["views"], payload.get("all_views"))
-        if instance.kind == "rpq":
-            stats = report.stats
+        stats = report.stats
+        if stats.monoid_size is not None:
             lines.append(
                 f"tried {stats.assignments_tried} assignment(s), "
                 f"monoid size {stats.monoid_size}, {stats.elapsed:.3f}s"
@@ -249,26 +248,20 @@ def cmd_check(args) -> int:
     instance = parse_instance(_read(args.file))
     mode = args.mode or instance.mode
     views = _views(args, instance)
-    missing = [s for s in instance.occurring_source_symbols() if s not in views]
-    if missing:
-        raise InputError(f"views file misses occurring symbol(s) {missing}")
-
     if instance.kind in ("rpq", "2rpq"):
         result = capture_check(instance, views, mode, det_cap)
     else:
-        result = CaptureResult(mode, capture_check_cq(instance, views, mode))
+        result = capture_check_cq(instance, views, mode)
 
     lines = [f"capture: {'holds' if result.ok else 'fails'} ({mode})"]
     for i, rec in enumerate(result.per_mapping):
         status = "ok" if rec.ok(mode) else "violated"
         lines.append(f"mapping {i}: {status}")
-        if instance.kind in ("cq", "ucq"):
-            continue
         if rec.witness is not None:
             lines.append(f"  nonempty witness: {' '.join(rec.witness) or 'eps'}")
         if rec.separating is not None:
             lines.append(f"  separating word: {' '.join(rec.separating) or 'eps'}")
-        if mode == "exact" and rec.reverse_separating is not None:
+        if rec.reverse_separating is not None:
             word = " ".join(rec.reverse_separating) or "eps"
             lines.append(f"  missing from rewriting: {word}")
     _emit(args, result.to_json(), "\n".join(lines))

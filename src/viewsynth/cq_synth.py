@@ -12,10 +12,11 @@ enumerated once.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 from .errors import BudgetExceeded, InputError
 from .model import Atom, CQ, ProblemInstance, UCQ
+from .report import CaptureResult, Check, SearchStats, SynthesisReport
 from .search import search
 
 DEFAULT_CQ_BUDGET = 1_000_000
@@ -184,11 +185,7 @@ class SynthesisBounds:
     variable_bound: int
 
     def to_json(self):
-        return {
-            "atom_bound": self.atom_bound,
-            "disjunct_bound": self.disjunct_bound,
-            "variable_bound": self.variable_bound,
-        }
+        return asdict(self)
 
 
 def bounds_for(instance: ProblemInstance) -> SynthesisBounds:
@@ -281,102 +278,34 @@ def enumerate_view_candidates(
 # Synthesis
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CqMappingCheck:
-    contained: bool
-    nonempty: bool
-    n_disjuncts: int
-    reverse_contained: "bool | None" = None
-
-    def ok(self, mode: str) -> bool:
-        good = self.contained and self.nonempty
-        if mode == "exact":
-            good = good and bool(self.reverse_contained)
-        return good
-
-    def to_json(self, mode: str):
-        out = {
-            "contained": self.contained,
-            "nonempty": self.nonempty,
-            "disjuncts": self.n_disjuncts,
-        }
-        if mode == "exact":
-            out["reverse_contained"] = self.reverse_contained
-        return out
-
-
-@dataclass
-class CqStats:
-    mode: str
-    view_kind: str
-    # options searched per symbol; kept for tracing, not in the JSON report
-    candidates_per_symbol: dict[str, int] = field(default_factory=dict)
-    checks: int = 0
-
-    def to_json(self):
-        return {
-            "mode": self.mode,
-            "view_kind": self.view_kind,
-        }
-
-
-@dataclass
-class CqSynthesisReport:
-    outcome: str
-    views: "CqViews | None"
-    checks: "list[CqMappingCheck] | None"
-    bounds: SynthesisBounds
-    stats: CqStats
-    all_views: "list[CqViews] | None" = None
-
-    @property
-    def found(self) -> bool:
-        return self.outcome == "found"
-
-    def to_json(self):
-        def render(views):
-            return {
-                sym: (v.render() if v is not None else "undefined")
-                for sym, v in sorted(views.items())
-            }
-
-        out = {
-            "outcome": self.outcome,
-            "views": render(self.views) if self.views is not None else None,
-            "checks": [c.to_json(self.stats.mode) for c in self.checks]
-            if self.checks
-            else None,
-            "bounds": self.bounds.to_json(),
-            "statistics": self.stats.to_json(),
-        }
-        if self.all_views is not None:
-            out["all_views"] = [render(v) for v in self.all_views]
-        return out
-
-
 def capture_check_cq(
     instance: ProblemInstance, views: CqViews, mode: "str | None" = None
-) -> list[CqMappingCheck]:
-    """Per-mapping capture records for relational instances."""
+) -> CaptureResult:
+    """Check whether views capture every mapping of a relational instance.
+
+    ``views`` maps each occurring source symbol to its view (``None`` for
+    an undefined view).
+    """
     if instance.kind not in ("cq", "ucq"):
         raise InputError("capture_check_cq handles relational instances only")
     mode = mode or instance.mode
+    instance.require_views(views)
     source_preds = set(instance.source_names)
     records = []
     for m in instance.mappings:
         distributed = cq_substitute(m.source, views, source_preds)
         contained = ucq_contains(distributed, m.target)
-        record = CqMappingCheck(
+        record = Check(
             contained=contained,
             nonempty=bool(distributed),
-            n_disjuncts=len(distributed),
+            disjuncts=len(distributed),
         )
         if mode == "exact":
             record.reverse_contained = bool(distributed) and ucq_contains(
                 m.target, UCQ(tuple(distributed))
             )
         records.append(record)
-    return records
+    return CaptureResult(mode, records)
 
 
 def synthesize_cq(
@@ -385,7 +314,7 @@ def synthesize_cq(
     view_kind: str = "cq",
     budget: int = DEFAULT_CQ_BUDGET,
     find_all: bool = False,
-) -> CqSynthesisReport:
+) -> SynthesisReport:
     """Search candidate views in canonical order; first passing wins.
 
     ``view_kind`` selects single-CQ or UCQ views.  The search per symbol
@@ -411,7 +340,7 @@ def synthesize_cq(
         raise InputError(f"unknown view kind {view_kind!r}")
     mode = mode or instance.mode
     bounds = bounds_for(instance)
-    stats = CqStats(mode=mode, view_kind=view_kind)
+    stats = SearchStats(mode=mode, view_kind=view_kind)
     source_preds = set(instance.source_names)
     occurring = instance.occurring_source_symbols()
     target_schema = {n: instance.symbols[n].arity for n in instance.target_names}
@@ -432,8 +361,8 @@ def synthesize_cq(
     def accept(partial: CqViews):
         spend()
         assignment = dict(partial)
-        records = capture_check_cq(instance, assignment, mode)
-        return (assignment, records) if all(r.ok(mode) for r in records) else None
+        result = capture_check_cq(instance, assignment, mode)
+        return (assignment, result) if result.ok else None
 
     # per-symbol candidates, locally filtered
     options: dict[str, list[CqView]] = {}
@@ -458,9 +387,9 @@ def synthesize_cq(
 
     solutions = search(occurring, options.get, sound_prefix_ok, accept, find_all)
     if not solutions:
-        return CqSynthesisReport("not-found", None, None, bounds, stats)
-    assignment, records = solutions[0]
-    report = CqSynthesisReport("found", assignment, records, bounds, stats)
+        return SynthesisReport("not-found", None, None, stats, bounds=bounds)
+    assignment, result = solutions[0]
+    report = SynthesisReport("found", assignment, result, stats, bounds=bounds)
     if find_all:
         report.all_views = [views for views, _ in solutions]
     return report

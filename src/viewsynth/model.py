@@ -319,3 +319,9 @@ class ProblemInstance:
             else:
                 seen.update(base_label(s) for s in m.source.symbols() if base_label(s) in src)
         return tuple(sorted(seen))
+
+    def require_views(self, views) -> None:
+        """Raise unless ``views`` has a key for every occurring source symbol."""
+        missing = [s for s in self.occurring_source_symbols() if s not in views]
+        if missing:
+            raise InputError(f"views missing for occurring source symbol(s) {missing}")

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
 
 from .errors import BudgetExceeded, InputError
 from .model import EMPTY as EMPTY_REGEX
@@ -43,6 +42,7 @@ from .congruence import (
     relation_of_word,
     transition_monoid,
 )
+from .report import CaptureResult, Check, SearchStats, SynthesisReport
 from .search import search
 from .twoway import fold_automaton, two_to_one
 
@@ -60,102 +60,6 @@ def realize_views(views: ClassViews, monoid: TransitionMonoid) -> dict[str, "NWA
         sym: class_automaton(monoid, classes) if classes else None
         for sym, classes in views.items()
     }
-
-
-# ---------------------------------------------------------------------------
-# Reports
-# ---------------------------------------------------------------------------
-
-@dataclass
-class MappingCheck:
-    """Verification record for one mapping under candidate views."""
-
-    contained: bool
-    separating: "Word | None"
-    nonempty: bool
-    witness: "Word | None"
-    reverse_contained: "bool | None" = None
-    reverse_separating: "Word | None" = None
-
-    def ok(self, mode: str) -> bool:
-        good = self.contained and self.nonempty
-        if mode == "exact":
-            good = good and bool(self.reverse_contained)
-        return good
-
-    def to_json(self, mode: str):
-        out = {
-            "contained": self.contained,
-            "nonempty": self.nonempty,
-            "witness": list(self.witness) if self.witness is not None else None,
-        }
-        if self.separating is not None:
-            out["separating"] = list(self.separating)
-        if mode == "exact":
-            out["reverse_contained"] = self.reverse_contained
-            if self.reverse_separating is not None:
-                out["reverse_separating"] = list(self.reverse_separating)
-        return out
-
-
-@dataclass
-class CaptureResult:
-    mode: str
-    per_mapping: list[MappingCheck]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok(self.mode) for c in self.per_mapping)
-
-    def to_json(self):
-        return {
-            "ok": self.ok,
-            "mode": self.mode,
-            "mappings": [c.to_json(self.mode) for c in self.per_mapping],
-        }
-
-
-@dataclass
-class SynthStats:
-    mode: str
-    monoid_size: int = 0
-    assignments_tried: int = 0
-    prefixes_pruned: int = 0
-    elapsed: float = 0.0
-
-    def to_json(self):
-        # no timing fields: JSON reports must be byte-identical across runs
-        return {"mode": self.mode, "monoid_size": self.monoid_size}
-
-
-@dataclass
-class SynthesisReport:
-    outcome: str  # "found" | "not-found"
-    views: "ClassViews | None"
-    views_regex: "dict[str, Regex] | None"
-    checks: "CaptureResult | None"
-    stats: SynthStats
-    all_views: "list[ClassViews] | None" = None
-    all_views_regex: "list[dict[str, Regex]] | None" = None
-    monoid: "TransitionMonoid | None" = field(default=None, repr=False)
-
-    @property
-    def found(self) -> bool:
-        return self.outcome == "found"
-
-    def to_json(self):
-        def render(vr):
-            return {sym: r.render() for sym, r in sorted(vr.items())}
-
-        out = {
-            "outcome": self.outcome,
-            "views": render(self.views_regex) if self.views_regex is not None else None,
-            "checks": self.checks.to_json() if self.checks is not None else None,
-            "statistics": self.stats.to_json(),
-        }
-        if self.all_views_regex is not None:
-            out["all_views"] = [render(vr) for vr in self.all_views_regex]
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -233,15 +137,15 @@ class _MappingChecker:
         """A shortest target word outside ``sub``; ``None`` when contained."""
         return difference_witness(self.a_t, self._closure(sub, self.a_t), cap=self.det_cap)
 
-    def check(self, realized: dict[str, "NWA | None"], mode: str) -> MappingCheck:
+    def check(self, realized: dict[str, "NWA | None"], mode: str) -> Check:
         sub = self.substituted(realized)
         empty, witness = is_empty(sub)
         separating = self.separating(sub)
-        record = MappingCheck(
+        record = Check(
             contained=separating is None,
-            separating=separating,
             nonempty=not empty,
             witness=witness,
+            separating=separating,
         )
         if mode == "exact":
             rev = self.reverse_separating(sub)
@@ -264,10 +168,7 @@ def capture_check(
     if instance.kind not in ("rpq", "2rpq"):
         raise InputError("capture_check handles path-query instances only")
     mode = mode or instance.mode
-    occurring = instance.occurring_source_symbols()
-    missing = [s for s in occurring if s not in views]
-    if missing:
-        raise InputError(f"views missing for occurring source symbol(s) {missing}")
+    instance.require_views(views)
     checkers = [
         _MappingChecker(
             m,
@@ -442,7 +343,7 @@ def synthesize(
     engine = _Engine(
         instance, mode, use_reduction=use_reduction, det_cap=det_cap, monoid_cap=monoid_cap
     )
-    stats = SynthStats(mode=mode, monoid_size=len(engine.monoid.elements))
+    stats = SearchStats(mode=mode, monoid_size=len(engine.monoid.elements))
 
     if mode == "exact":
         # the problem trivializes on an empty target query
@@ -450,7 +351,7 @@ def synthesize(
             empty, _ = is_empty(checker.a_t)
             if empty:
                 stats.elapsed = time.monotonic() - started
-                return SynthesisReport("not-found", None, None, None, stats, monoid=engine.monoid)
+                return SynthesisReport("not-found", None, None, stats, monoid=engine.monoid)
 
     def accept(views: ClassViews) -> "ClassViews | None":
         stats.assignments_tried += 1
@@ -473,15 +374,15 @@ def synthesize(
 
     stats.elapsed = time.monotonic() - started
     if not solutions:
-        return SynthesisReport("not-found", None, None, None, stats, monoid=engine.monoid)
+        return SynthesisReport("not-found", None, None, stats, monoid=engine.monoid)
 
     best = solutions[0]
     report = SynthesisReport(
         outcome="found",
         views=best,
-        views_regex=views_to_regex(best, engine.monoid),
         checks=capture_check(instance, realize_views(best, engine.monoid), mode, det_cap),
         stats=stats,
+        views_regex=views_to_regex(best, engine.monoid),
         monoid=engine.monoid,
     )
     if find_all:

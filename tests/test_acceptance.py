@@ -171,7 +171,7 @@ def test_criterion_7_cq_suite():
     composition = parse_cq("v(u,w) :- r(u,z), s(z,w)", {"r": 2, "s": 2})
     view = report.views["a"]
     assert cq_contained(view, composition) and cq_contained(composition, view)
-    assert all(c.ok("exact") for c in report.checks)
+    assert report.checks.ok
 
     rng = random.Random(515)
     schema = {"r": 2, "s": 2}

@@ -390,6 +390,14 @@ def test_check_missing_view_exit_2(capsys, tmp_path):
     assert code == 2
 
 
+def test_check_cq_missing_view_exit_2(capsys, tmp_path):
+    empty = tmp_path / "v.vsv"
+    empty.write_text("", encoding="utf-8")
+    code, _, err = run(capsys, "check", CHAIN_CQ, "--views", str(empty))
+    assert code == 2
+    assert "views missing" in err
+
+
 # --- contain ----------------------------------------------------------------------
 
 def test_contain_rpq(capsys):

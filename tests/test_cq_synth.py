@@ -219,7 +219,7 @@ def test_chain_mapping_synthesizes_composition(chain_cq):
     view = report.views["a"]
     want = cq("v(u,w) :- r(u,z), s(z,w)")
     assert cq_contained(view, want) and cq_contained(want, view)
-    assert all(c.ok("exact") for c in report.checks)
+    assert report.checks.ok
 
 
 def test_identity_mapping_sound():
@@ -375,8 +375,14 @@ def test_capture_check_cq_reports_failure():
         "kind cq\nsource a/2\ntarget r/2 s/2\n"
         "map q(x,y) :- a(x,y) ~> q(x,y) :- r(x,y)\n"
     )
-    records = capture_check_cq(inst, {"a": cq("v(u,w) :- s(u,w)")}, "sound")
-    assert not records[0].contained
+    result = capture_check_cq(inst, {"a": cq("v(u,w) :- s(u,w)")}, "sound")
+    assert not result.ok
+    assert not result.per_mapping[0].contained
+
+
+def test_capture_check_cq_needs_every_occurring_view(chain_cq):
+    with pytest.raises(InputError, match="views missing"):
+        capture_check_cq(chain_cq, {})
 
 
 def test_report_json(chain_cq):

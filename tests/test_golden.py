@@ -3,11 +3,17 @@
 ``golden.json`` holds two recordings:
 
 - ``cli``: the argv (run from the repository root), optional stdin, exit
-  code and stdout of in-process ``viewsynth.cli.main`` requests with
-  ``--format json`` on ``demos/instances`` and ``demos/data``.  They cover
-  every subcommand: RPQ/CQ/UCQ ``synth`` in both modes with ``--all`` and
-  ``--maximal``, ``check`` of path and CQ views, ``contain`` for all four
-  kinds, ``monoid`` and the four ``oracle`` commands.
+  code and stdout of in-process ``viewsynth.cli.main`` requests on
+  ``demos/instances`` and ``demos/data``, with ``--format json`` except for
+  two ``check`` requests in text mode.  They cover every subcommand:
+  RPQ/CQ/UCQ ``synth`` in both modes with ``--all`` and ``--maximal``,
+  ``check`` of path and CQ views, ``contain`` for all four kinds,
+  ``monoid`` and the four ``oracle`` commands.  The last six entries pin
+  the report shapes: a path check with an empty rewriting (``"witness":
+  null``), an exact path check with separating words in both directions
+  (JSON and text), the text of a failing CQ check, and two exact ``synth``
+  requests that find nothing (CQ with ``bounds``, and RPQ with an empty
+  target).
 - ``demos``: the stdout of each ``demos/0*.py`` script.
 
 Both were recorded with the code before union views began skipping
