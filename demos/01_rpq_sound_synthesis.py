@@ -5,12 +5,9 @@ empty view: any word given to a3 would have to serve as both a first and
 a second letter of b1.b2.
 """
 
-from viewsynth import (
-    coherence_soundness_sample,
-    parse_instance,
-    realize_views,
-    synthesize_sound,
-)
+from viewsynth.oracle import coherence_soundness_sample
+from viewsynth.parser import parse_instance
+from viewsynth.rpq_synth import realize_views, synthesize_sound
 
 instance = parse_instance("""
 kind rpq

@@ -6,8 +6,9 @@ lets the word 11 through.  Exact synthesis searches unions of congruence
 classes and verifies containment in both directions.
 """
 
-from viewsynth import parse_instance, parse_regex, compile_regex
+from viewsynth.automata import compile_regex
 from viewsynth.congruence import class_of
+from viewsynth.parser import parse_instance, parse_regex
 from viewsynth.rpq_synth import (
     capture_check,
     maximize,

@@ -5,8 +5,8 @@ an r-then-s chain), and a union target that a single CQ view cannot match
 exactly but a UCQ view can.
 """
 
-from viewsynth import parse_instance
 from viewsynth.cq_synth import synthesize_cq
+from viewsynth.parser import parse_instance
 
 chain = parse_instance("""
 kind cq

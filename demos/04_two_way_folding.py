@@ -6,9 +6,9 @@ backing up over it, and walking forward again.  Containment of two-way
 queries reduces to one-way containment against the fold closure.
 """
 
-from viewsynth import compile_regex, parse_regex
-from viewsynth.automata import accepts
+from viewsynth.automata import accepts, compile_regex
 from viewsynth.oracle import GraphDatabase, eval_2rpq
+from viewsynth.parser import parse_regex
 from viewsynth.twoway import contains_2rpq, fold_automaton, folds_onto, two_to_one
 
 

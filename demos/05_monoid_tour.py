@@ -7,8 +7,9 @@ any capture, which is what makes searching congruence classes complete.
 
 import itertools
 
-from viewsynth import accepts, compile_regex, parse_regex
+from viewsynth.automata import accepts, compile_regex
 from viewsynth.congruence import class_automaton, class_of, pairs, transition_monoid
+from viewsynth.parser import parse_regex
 
 target = compile_regex(parse_regex("b1.b2", {"b1", "b2"}))
 monoid = transition_monoid(target)

@@ -88,7 +88,7 @@ class NWA:
 # Regex -> NWA (position/Glushkov construction: epsilon-free, lean)
 # ---------------------------------------------------------------------------
 
-def compile_regex(regex: Regex, alphabet=None) -> NWA:
+def compile_regex(regex: Regex) -> NWA:
     """Compile a regex into an epsilon-free NWA with |occurrences|+1 states."""
     positions: list[str] = []
 
@@ -128,12 +128,10 @@ def compile_regex(regex: Regex, alphabet=None) -> NWA:
         raise TypeError(f"not a regex node: {node!r}")
 
     nullable, first, last, follow = walk(regex)
-    labels = set(positions) if alphabet is None else set(alphabet)
-    labels |= set(positions)
     transitions = {(0, positions[p - 1], p) for p in first}
     transitions |= {(x, positions[y - 1], y) for x, y in follow}
     finals = set(last) | ({0} if nullable else set())
-    return NWA(len(positions) + 1, labels, {0}, finals, transitions)
+    return NWA(len(positions) + 1, set(positions), {0}, finals, transitions)
 
 
 # ---------------------------------------------------------------------------

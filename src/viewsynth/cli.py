@@ -23,15 +23,6 @@ from .automata import (
 )
 from .congruence import DEFAULT_MONOID_CAP, pairs, transition_monoid
 from .cq_synth import capture_check_cq, synthesize_cq, ucq_contains
-from .oracle import (
-    brute_view_existence_rpq,
-    coherence_soundness_sample,
-    eval_2rpq,
-    eval_rpq,
-    eval_ucq,
-    parse_graph,
-    rel_instance,
-)
 from .rpq_synth import (
     DEFAULT_SEARCH_BUDGET,
     capture_check,
@@ -324,7 +315,12 @@ def cmd_monoid(args) -> int:
     return 0
 
 
+# The oracle handlers import the brute-force referee themselves, so that the
+# engine commands never load it.
+
 def cmd_oracle_eval(args) -> int:
+    from .oracle import eval_2rpq, eval_rpq, parse_graph
+
     db = parse_graph(_read(args.graph))
     two_way = args.kind == "2rpq"
     regex = parse_regex(args.regex, None, two_way=two_way)
@@ -336,6 +332,8 @@ def cmd_oracle_eval(args) -> int:
 
 
 def cmd_oracle_eval_ucq(args) -> int:
+    from .oracle import eval_ucq, rel_instance
+
     facts: dict[str, set[tuple[str, ...]]] = {}
     for lineno, raw in enumerate(_read(args.facts).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -353,6 +351,8 @@ def cmd_oracle_eval_ucq(args) -> int:
 
 
 def cmd_oracle_brute(args) -> int:
+    from .oracle import brute_view_existence_rpq
+
     budget = _cap(args, "budget")
     instance = parse_instance(_read(args.file))
     outcome, views = brute_view_existence_rpq(instance, budget=budget)
@@ -369,6 +369,8 @@ def cmd_oracle_brute(args) -> int:
 
 
 def cmd_oracle_coherence(args) -> int:
+    from .oracle import coherence_soundness_sample
+
     samples = _cap(args, "samples")
     instance = parse_instance(_read(args.file))
     report = coherence_soundness_sample(

@@ -424,6 +424,7 @@ def coherence_soundness_sample(
     ``views`` maps source symbols to view automata / CQ views (``None`` for
     the empty view), matching the instance kind.
     """
+    instance.require_views(views)
     mode = mode or instance.mode
     rng = random.Random(seed)
     if instance.kind in ("rpq", "2rpq"):

@@ -185,35 +185,32 @@ def capture_check(
 class _ClassCapture:
     """Sound capture of one mapping by class views, decided in the monoid.
 
-    Every word of a congruence class drives the trimmed target automaton
-    ``T`` by one relation, so a concatenation of classes and target symbols
-    drives it by the product of their relations.  Walking the source
+    The monoid is that of ``m``, the disjoint union of the trimmed targets
+    of all checked mappings; this mapping's trimmed target ``T`` is the
+    block of ``m`` from state ``offset`` on.  Every word of a congruence
+    class drives ``m`` by the class's relation, so a concatenation of
+    classes and other labels drives it by the product of their relations,
+    which keeps a set of ``T``'s states inside ``T``.  Walking the source
     automaton while carrying the set of ``T`` states reachable from ``T``'s
-    initial states (the initial rows of the product relation) therefore
-    reaches a final source state with set ``S`` exactly when some word of
-    the substituted source leads ``T`` to ``S``.  No automaton is built per
-    candidate.
+    initial states therefore reaches a final source state with set ``S``
+    exactly when some word of the substituted source leads ``T`` to ``S``.
+    No automaton is built per candidate.
     """
 
-    def __init__(self, checker: _MappingChecker, monoid: TransitionMonoid):
-        t = trim(checker.a_t)
-
-        def rows_of(word: Word) -> tuple[int, ...]:
-            if not set(word) <= t.alphabet:
-                return (0,) * t.n_states  # T never reads a symbol outside its alphabet
-            return relation_of_word(t, word)
-
-        self.class_rows = [rows_of(w) for w in monoid.witnesses]
-        self.start = sum(1 << s for s in t.initials)
-        self.target_finals = sum(1 << s for s in t.finals)
+    def __init__(
+        self, checker: _MappingChecker, m: NWA, monoid: TransitionMonoid, target: NWA, offset: int
+    ):
+        self.class_rows = monoid.elements
+        self.start = sum(1 << (s + offset) for s in target.initials)
+        self.target_finals = sum(1 << (s + offset) for s in target.finals)
         a_s = checker.a_s
         self.source_initials = a_s.initials
         self.source_finals = a_s.finals
         # per source state: (source symbol, None, q) or (None, rows, q); the
-        # rows of a non-source label cover the separator, which is a target
-        # symbol but not a monoid generator
+        # non-source labels include the separator, which ``m`` reads but
+        # which is not a monoid generator
         label_rows = {
-            x: rows_of((x,)) for x in a_s.labels_present() - checker.source_syms
+            x: relation_of_word(m, (x,)) for x in a_s.labels_present() - checker.source_syms
         }
         self.edges: list[list] = [[] for _ in range(a_s.n_states)]
         for p, x, q in a_s.transitions:
@@ -287,9 +284,16 @@ class _Engine:
             _MappingChecker(m, instance.source_names, target_alpha, det_cap)
             for m in self.check_mappings
         ]
-        monoid_auto = trim(union_nwa([c.a_t for c in self.checkers], alphabet=target_alpha))
-        self.monoid = transition_monoid(monoid_auto, generators=target_alpha, cap=monoid_cap)
-        self.class_checks = [_ClassCapture(c, self.monoid) for c in self.checkers]
+        # the monoid automaton reads every label a source walk reads outside
+        # the source symbols; only the target symbols generate the monoid
+        targets = [trim(c.a_t) for c in self.checkers]
+        m = union_nwa(targets, alphabet=frozenset().union(*(c.alphabet for c in self.checkers)))
+        self.monoid = transition_monoid(m, generators=target_alpha, cap=monoid_cap)
+        offsets = itertools.accumulate((t.n_states for t in targets), initial=0)
+        self.class_checks = [
+            _ClassCapture(c, m, self.monoid, t, offset)
+            for c, t, offset in zip(self.checkers, targets, offsets)
+        ]
 
     def assignment_ok(self, views: ClassViews) -> bool:
         """Nonempty and sound capture, decided in the monoid; in exact mode

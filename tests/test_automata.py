@@ -187,7 +187,7 @@ def test_substitute_matches_textual_substitution():
 @given(regexes(), regexes())
 def test_product_complement_pointwise(r1, r2):
     alphabet = {"b1", "b2"}
-    a, b = compile_regex(r1, alphabet), compile_regex(r2, alphabet)
+    a, b = compile_regex(r1), compile_regex(r2)
     prod = product(a, b, alphabet=alphabet)
     comp = complement(determinize(a, alphabet=alphabet))
     for w in all_words(alphabet, 3):
@@ -199,7 +199,7 @@ def test_product_complement_pointwise(r1, r2):
 @given(regexes())
 def test_emptiness_matches_bounded_search(r):
     alphabet = {"b1", "b2"}
-    a = compile_regex(r, alphabet)
+    a = compile_regex(r)
     d = determinize(a, alphabet=alphabet)
     empty, witness = is_empty(a)
     short_words = [w for w in all_words(alphabet, d.n_states) if accepts(a, w)]
@@ -226,8 +226,8 @@ def test_substitute_monotone():
 @given(regexes())
 def test_state_elimination_round_trip(r):
     alphabet = {"b1", "b2"}
-    a = compile_regex(r, alphabet)
-    back = compile_regex(nwa_to_regex(a), alphabet)
+    a = compile_regex(r)
+    back = compile_regex(nwa_to_regex(a))
     for w in all_words(alphabet, 3):
         assert accepts(a, w) == accepts(back, w)
 

@@ -413,6 +413,15 @@ def test_contain_2rpq(capsys):
     assert run(capsys, "contain", "--kind", "2rpq", "a.b", "a.c")[0] == 1
 
 
+def test_contain_2rpq_conversion_cap_exit_3(capsys):
+    code, out, err = run(
+        capsys, "contain", "--kind", "2rpq", "--det-cap", "2", "a.b", "a.b.b^-.b"
+    )
+    assert code == 3
+    assert out == ""
+    assert err == "error: two-way conversion exceeded cap of 2 states\n"
+
+
 def test_contain_ucq(capsys):
     code, _, _ = run(
         capsys,
@@ -530,6 +539,19 @@ def test_oracle_coherence_needs_a_positive_sample_count(capsys, samples):
     assert code == 2
     assert out == ""
     assert "--samples must be positive" in err
+
+
+@pytest.mark.parametrize(
+    "instance, views, missing",
+    [(SOUND, "view a1 = b1\n", "['a2', 'a3']"), (CHAIN_CQ, "", "['a']")],
+)
+def test_oracle_coherence_missing_view_exit_2(capsys, tmp_path, instance, views, missing):
+    path = tmp_path / "v.vsv"
+    path.write_text(views, encoding="utf-8")
+    code, out, err = run(capsys, "oracle", "coherence", instance, "--views", str(path))
+    assert code == 2
+    assert out == ""
+    assert f"views missing for occurring source symbol(s) {missing}" in err
 
 
 # --- misc -------------------------------------------------------------------------

@@ -23,7 +23,9 @@ lost the two unions that equal one of their own disjuncts, and the entry
 was updated to the new output.  When ``oracle brute-exists --bound`` was
 removed, the one entry that passed ``--bound 2`` lost those two arguments;
 its stdout is unchanged.  JSON reports carry no timing fields, so the
-recordings are byte-stable.
+recordings are byte-stable.  The ``cli`` entries are replayed in process,
+under the test process's hash seed, and once more in a fresh interpreter
+for each of ``PYTHONHASHSEED`` 0 and 1.
 """
 
 import io
@@ -52,15 +54,48 @@ def test_cli_stdout_is_pinned(entry, capsys, monkeypatch):
     assert capsys.readouterr().out == entry["stdout"]
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN["demos"]))
-def test_demo_stdout_is_pinned(name):
-    env = dict(os.environ)
+# Replays the ``cli`` entries read from stdin through ``main`` and prints
+# each entry's exit code and stdout as JSON.
+REPLAY = """
+import contextlib, io, json, sys
+from viewsynth.cli import main
+results = []
+for entry in json.load(sys.stdin):
+    sys.stdin = io.StringIO(entry.get("stdin", ""))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(entry["argv"])
+    results.append([code, out.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def _env(**extra) -> dict:
+    """The environment with ``src`` first on ``PYTHONPATH``, plus ``extra``."""
+    env = dict(os.environ, **extra)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
+    return env
+
+
+@pytest.mark.parametrize("seed", ["0", "1"])
+def test_cli_stdout_is_pinned_under_fixed_hash_seeds(seed):
+    # the in-process test runs under whatever hash seed pytest has
+    proc = subprocess.run(
+        [sys.executable, "-c", REPLAY], input=json.dumps(GOLDEN["cli"]), cwd=ROOT,
+        capture_output=True, text=True, env=_env(PYTHONHASHSEED=seed), timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    for entry, (code, out) in zip(GOLDEN["cli"], json.loads(proc.stdout), strict=True):
+        assert (code, out) == (entry["exit"], entry["stdout"]), entry["argv"]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN["demos"]))
+def test_demo_stdout_is_pinned(name):
     proc = subprocess.run(
         [sys.executable, str(ROOT / "demos" / name)],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, text=True, env=_env(), timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == GOLDEN["demos"][name]

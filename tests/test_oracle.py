@@ -1,9 +1,13 @@
 import ast
+import json
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from viewsynth.errors import InputError
 from viewsynth.model import EPS
 from viewsynth.parser import parse_cq, parse_instance, parse_regex, parse_ucq
 from viewsynth.automata import compile_regex
@@ -181,8 +185,6 @@ def test_brute_nonexistence():
 
 
 def test_brute_rejects_relational_kind():
-    from viewsynth.errors import InputError
-
     inst = parse_instance(
         "kind cq\nsource a/2\ntarget r/2\nmap q(x,y) :- a(x,y) ~> q(x,y) :- r(x,y)\n"
     )
@@ -196,6 +198,12 @@ def test_coherence_sec6_views_pass(sec6_sound):
     views = {"a1": rx("b1"), "a2": rx("b2"), "a3": None}
     report = coherence_soundness_sample(sec6_sound, views, samples=50, seed=1)
     assert report.ok and report.samples == 50
+
+
+def test_coherence_rejects_views_missing_an_occurring_symbol(sec6_sound):
+    # the same views the capture check rejects
+    with pytest.raises(InputError, match=r"\['a2', 'a3'\]"):
+        coherence_soundness_sample(sec6_sound, {"a1": rx("b1")}, samples=5)
 
 
 def test_coherence_corrupted_views_fail(sec6_sound):
@@ -243,3 +251,23 @@ def test_oracle_imports_only_the_shared_data_types():
             assert node.level == 1 and node.module in allowed, node.module
             names = {a.name for a in node.names}
             assert allowed[node.module] is None or names <= allowed[node.module], names
+
+
+def test_the_package_and_the_engine_commands_do_not_load_the_referee():
+    # the engine's side of the boundary: the package loads none of its
+    # modules, and the CLI imports the referee only inside the oracle
+    # subcommands
+    probe = (
+        "import json, sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import viewsynth\n"
+        "package = sorted(m for m in sys.modules if m.startswith('viewsynth.'))\n"
+        "import viewsynth.cli\n"
+        "print(json.dumps([package, 'viewsynth.oracle' in sys.modules]))\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, str(src)], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[], False]

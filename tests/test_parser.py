@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from viewsynth.errors import ParseError
@@ -66,6 +68,45 @@ def test_missing_mapping_rejected():
         parse_instance("kind rpq\nsource a\ntarget b")
 
 
+CQ_HEAD = "kind cq\nsource a/2\ntarget r/2\n"
+
+
+@pytest.mark.parametrize(
+    "instance, views, message, line",
+    [
+        ("kind rpq\nkind cq\n", None, "kind declared twice", 2),
+        ("source a\nkind rpq\n", None, "kind must be declared before symbols", 1),
+        ("map a ~> b\n", None, "missing kind declaration", None),
+        ("kind rpq\nsource a/2\n", None, "path symbols take no arity: 'a/2'", 2),
+        ("kind cq\nsource a\n", None, "relational symbols need an arity: 'a'", 2),
+        ("kind cq\nsource a/x\n", None, "bad arity in 'a/x'", 2),
+        ("kind cq\nsource a/0\n", None, "bad arity in 'a/0'", 2),
+        (CQ_HEAD + "map q(x) :- a(x,:-) ~> q(x) :- r(x,x)\n", None, "bad term ':-'", 4),
+        (CQ_HEAD + "map q(x) :- ((x) ~> q(x) :- r(x,x)\n", None, "bad predicate '('", 4),
+        (
+            CQ_HEAD + "map q(x) :- a(x,x) ~> q(x) :- r(x,x) ; q(x) :- r(x,y)\n",
+            None,
+            "kind cq admits single-disjunct queries only",
+            4,
+        ),
+        (
+            CQ_HEAD + "map q(x) :- a(x,y) ~> q(x,y) :- r(x,y)\n",
+            None,
+            "source and target queries disagree on head arity",
+            4,
+        ),
+        (SEC6_SOUND, "view a1 b1\n", "a view line reads 'view NAME = QUERY'", 1),
+        (SEC6_SOUND, "view a1 = b1\nview a1 = b2\n", "view for 'a1' defined twice", 2),
+        (CHAIN_CQ, "view a = q(x) :- r(x,y)\n", "view head arity 1 does not match a/2", 1),
+    ],
+)
+def test_parse_error_names_the_problem_and_its_line(instance, views, message, line):
+    # an instance error is raised before the views are read
+    with pytest.raises(ParseError, match=re.escape(message)) as info:
+        parse_views(views, parse_instance(instance))
+    assert info.value.line == line
+
+
 def test_regex_concat_and_eps():
     r = parse_regex("b1.b2", {"b1", "b2"})
     assert r == RCat((RSym("b1"), RSym("b2")))
@@ -112,9 +153,7 @@ def test_regex_round_trip_semantics(text):
     alphabet = {"b1", "b2"}
     r = parse_regex(text, alphabet)
     r2 = parse_regex(r.render(), alphabet)
-    assert equivalent(
-        compile_regex(r, alphabet), compile_regex(r2, alphabet)
-    )
+    assert equivalent(compile_regex(r), compile_regex(r2))
 
 
 def test_cq_round_trip():
