@@ -2,11 +2,11 @@
 
 Candidate view bodies are enumerated up to the atom/disjunct/variable
 bounds that make the guess-and-check argument complete: a capturing view
-never needs more atoms than the total target atom count, more disjuncts
-than the total target disjunct count, or more variables than its atoms can
-mention.  Bodies are generated in canonical form (lexicographically least
-under renaming of existential variables) so isomorphic candidates are
-enumerated once.
+never needs more atoms than the sum, over the mappings, of the size of each
+target's largest disjunct, more disjuncts than the total target disjunct
+count, or more variables than its atoms can mention.  A body is kept only
+if it is its own canonical form: its existentials are exactly e0..e(k-1)
+and no renaming of them gives a smaller sorted tuple of atoms.
 """
 
 from __future__ import annotations
@@ -164,11 +164,8 @@ def _splice_disjunct(d: CQ, combo) -> CQ:
             keep, drop = sorted((ra, rb))
             parent[drop] = keep
 
-    def rep(v: str) -> str:
-        return find(v)
-
-    head = tuple(rep(v) for v in d.head)
-    atoms = [Atom(a.pred, tuple(rep(v) for v in a.args)) for a in atoms]
+    head = tuple(find(v) for v in d.head)
+    atoms = [Atom(a.pred, tuple(find(v) for v in a.args)) for a in atoms]
     return CQ(head, tuple(atoms))
 
 
@@ -180,7 +177,7 @@ def _splice_disjunct(d: CQ, combo) -> CQ:
 class SynthesisBounds:
     """Search bounds making the candidate enumeration complete."""
 
-    atom_bound: int      # total target atoms across mappings
+    atom_bound: int      # sum over mappings of the largest target disjunct
     disjunct_bound: int  # total target disjuncts across mappings
     variable_bound: int
 
@@ -218,28 +215,6 @@ def _head_patterns(arity: int) -> list[tuple[str, ...]]:
     return patterns
 
 
-def _canonical_existentials(atoms: tuple[Atom, ...], head_vars: set[str]):
-    """Canonical form: least sorted atom tuple over existential renamings."""
-    existentials = sorted(
-        {v for a in atoms for v in a.args if v not in head_vars}
-    )
-    if not existentials:
-        return atoms
-    best = None
-    names = [f"e{i}" for i in range(len(existentials))]
-    for perm in itertools.permutations(names):
-        rename = dict(zip(existentials, perm))
-        candidate = tuple(
-            sorted(
-                Atom(a.pred, tuple(rename.get(v, v) for v in a.args))
-                for a in atoms
-            )
-        )
-        if best is None or candidate < best:
-            best = candidate
-    return best
-
-
 def enumerate_view_candidates(
     arity: int,
     target_schema: dict[str, int],
@@ -250,7 +225,6 @@ def enumerate_view_candidates(
     ``keep``.  Each distinct candidate meets ``keep`` once, as soon as it is
     built, so a filter that spends a budget stops the enumeration too."""
     max_arity = max(target_schema.values(), default=2)
-    seen: set[CQ] = set()
     kept: list[CQ] = []
     for head in _head_patterns(arity):
         head_vars = sorted(set(head))
@@ -261,17 +235,43 @@ def enumerate_view_candidates(
             for pred in sorted(target_schema)
             for args in itertools.product(pool, repeat=target_schema[pred])
         )
+        index = {(a.pred, a.args): i for i, a in enumerate(universe)}
+        masks = [sum({1 << pool.index(v) for v in a.args}) for a in universe]
+        n_head, head_bits = len(head_vars), (1 << len(head_vars)) - 1
+        names = [sorted(pool[n_head:n_head + k]) for k in range(n_exist + 1)]
         for n_atoms in range(1, bounds.atom_bound + 1):
-            for body in itertools.combinations(universe, n_atoms):
-                body_vars = {v for a in body for v in a.args}
-                if not set(head_vars) <= body_vars:
+            for body in itertools.combinations(range(len(universe)), n_atoms):
+                mask = 0
+                for i in body:
+                    mask |= masks[i]
+                em = mask >> n_head
+                # skip unsafe bodies and those whose existentials are not e0..e(k-1)
+                if ~mask & head_bits or em & (em + 1):
                     continue
-                view = CQ(head, _canonical_existentials(tuple(body), set(head_vars)))
-                if view not in seen:
-                    seen.add(view)
+                if _least_relabelling(body, universe, index, head, names[em.bit_length()]):
+                    view = CQ(head, tuple(universe[i] for i in body))
                     if keep(view):
                         kept.append(view)
     return sorted(kept, key=lambda c: (len(c.atoms), c.render()))
+
+
+def _least_relabelling(body: tuple[int, ...], universe, index, head, names) -> bool:
+    """No renaming of the existentials gives a smaller sorted body.  The least
+    renaming gives them the sorted ``names`` in order of first occurrence
+    along its own sorted atoms, so renaming that way along each order of the
+    body's atoms finds it: (atom count)! tries, not (existential count)!."""
+    for order in itertools.permutations([universe[i] for i in body]):
+        rename: dict[str, str] = {}
+        for a in order:
+            for v in a.args:
+                if v not in rename and v not in head:
+                    rename[v] = names[len(rename)]
+        if rename == dict(zip(names, names)):  # the body itself
+            continue
+        image = sorted([index[a.pred, tuple([rename.get(v, v) for v in a.args])] for a in order])
+        if tuple(image) < body:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

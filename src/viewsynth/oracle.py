@@ -204,6 +204,55 @@ def ucq_contained_canonical(q1: UCQ, q2: UCQ) -> bool:
     return all(cq_contained_canonical(d, q2) for d in q1.disjuncts)
 
 
+def _canonical_existentials(atoms: tuple[Atom, ...], head_vars: set[str]):
+    """Least sorted atom tuple over renamings of the existentials onto
+    ``e0..e(k-1)``, found by trying every permutation."""
+    existentials = sorted({v for a in atoms for v in a.args if v not in head_vars})
+    names = [f"e{i}" for i in range(len(existentials))]
+    renames = (dict(zip(existentials, p)) for p in itertools.permutations(names))
+    return min(
+        tuple(sorted(Atom(a.pred, tuple(r.get(v, v) for v in a.args)) for a in atoms))
+        for r in renames
+    )
+
+
+def brute_view_candidates(
+    arity: int, target_schema: dict[str, int], atom_bound: int, keep
+) -> list[CQ]:
+    """Referee for ``cq_synth.enumerate_view_candidates``: every CQ view of
+    the given head arity with at most ``atom_bound`` target atoms, one per
+    renaming class of its existentials, that passes ``keep``.  Each body
+    over a large enough variable pool is built and canonicalized by trying
+    every permutation; ``keep`` meets each new canonical form once."""
+    max_arity = max(target_schema.values(), default=2)
+    seen: set[CQ] = set()
+    kept: list[CQ] = []
+    # head patterns: tuples over h0, h1, ... naming each new variable in order
+    heads = {
+        tuple(f"h{sorted(set(t), key=t.index).index(i)}" for i in t)
+        for t in itertools.product(range(arity), repeat=arity)
+    }
+    for head in sorted(heads):
+        head_vars = sorted(set(head))
+        n_exist = max(0, atom_bound * max_arity - len(head_vars))
+        pool = head_vars + [f"e{i}" for i in range(n_exist)]
+        universe = sorted(
+            Atom(pred, args)
+            for pred in sorted(target_schema)
+            for args in itertools.product(pool, repeat=target_schema[pred])
+        )
+        for n_atoms in range(1, atom_bound + 1):
+            for body in itertools.combinations(universe, n_atoms):
+                if not set(head_vars) <= {v for a in body for v in a.args}:
+                    continue
+                view = CQ(head, _canonical_existentials(body, set(head_vars)))
+                if view not in seen:
+                    seen.add(view)
+                    if keep(view):
+                        kept.append(view)
+    return sorted(kept, key=lambda c: (len(c.atoms), c.render()))
+
+
 # ---------------------------------------------------------------------------
 # Word-level helpers (no determinization anywhere below)
 # ---------------------------------------------------------------------------

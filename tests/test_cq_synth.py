@@ -190,25 +190,36 @@ def test_candidates_are_canonical_and_deduplicated(chain_cq):
     assert "q(h0,h1) :- r(h0,e1), s(e1,h1)" not in rendered
 
 
+THREE_ATOM = (
+    "kind cq\nsource a/2\ntarget r/2 s/2\n"
+    "map q(x,y) :- a(x,y) ~> q(x,y) :- r(x,z), s(y,y), s(x,z)\n"
+)
+
+
 def test_budget_stops_candidate_enumeration(monkeypatch):
-    # the whole enumeration for this 3-atom target canonicalizes over 67,000
-    # bodies; the budget has to stop it long before that
-    inst = parse_instance(
-        "kind cq\nsource a/2\ntarget r/2 s/2\n"
-        "map q(x,y) :- a(x,y) ~> q(x,y) :- r(x,z), s(y,y), s(x,z)\n"
-    )
+    # the whole enumeration for this 3-atom target runs the relabelling test
+    # on 12,495 of its 124,536 bodies; the budget has to stop it far sooner
+    inst = parse_instance(THREE_ATOM)
     calls = 0
-    canonical = cq_synth._canonical_existentials
+    least = cq_synth._least_relabelling
 
     def counted(*args):
         nonlocal calls
         calls += 1
-        return canonical(*args)
+        return least(*args)
 
-    monkeypatch.setattr(cq_synth, "_canonical_existentials", counted)
+    monkeypatch.setattr(cq_synth, "_least_relabelling", counted)
     with pytest.raises(BudgetExceeded):
         synthesize_cq(inst, budget=200)
-    assert 0 < calls < 5_000
+    assert 0 < calls < 1_000
+
+
+def test_three_atom_enumeration_count():
+    inst = parse_instance(THREE_ATOM)
+    bounds = bounds_for(inst)
+    assert bounds.atom_bound == 3
+    candidates = enumerate_view_candidates(2, {"r": 2, "s": 2}, bounds, lambda view: True)
+    assert len(candidates) == 3_311
 
 
 # --- synthesize_cq -------------------------------------------------------------------

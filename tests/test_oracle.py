@@ -1,5 +1,6 @@
 import ast
 import json
+import math
 import random
 import subprocess
 import sys
@@ -13,6 +14,7 @@ from viewsynth.parser import parse_cq, parse_instance, parse_regex, parse_ucq
 from viewsynth.automata import compile_regex
 from viewsynth.oracle import (
     GraphDatabase,
+    brute_view_candidates,
     brute_view_existence_rpq,
     canonical_db,
     coherence_soundness_sample,
@@ -190,6 +192,47 @@ def test_brute_rejects_relational_kind():
     )
     with pytest.raises(InputError):
         brute_view_existence_rpq(inst)
+
+
+# --- CQ view candidates ------------------------------------------------------------------
+
+def test_view_candidates_agree_with_the_permutation_referee():
+    # seeded (head arity, target schema, atom bound) draws, each lowered to a
+    # bound at which the referee's body count stays small
+    from viewsynth.cq_synth import SynthesisBounds, enumerate_view_candidates
+
+    def bodies(schema, atom_bound):
+        pool = atom_bound * max(schema.values())
+        n = sum(pool ** a for a in schema.values())
+        return sum(math.comb(n, k) for k in range(1, atom_bound + 1))
+
+    covered = set()
+    for seed in range(40):
+        rng = random.Random(seed)
+        arity = rng.randint(1, 3)
+        preds = ["r", *rng.sample(["s", "t"], rng.randint(0, 2))]
+        schema = {p: rng.randint(1, 3) for p in preds}
+        atom_bound = rng.randint(1, 3)
+        while bodies(schema, atom_bound) > 2_000:
+            atom_bound -= 1
+        covered |= {("head", arity), ("bound", atom_bound)}
+        covered |= {("pred", a) for a in schema.values()}
+        bounds = SynthesisBounds(atom_bound, 1, 0)
+        case = (seed, arity, schema, atom_bound)
+        everything = brute_view_candidates(arity, schema, atom_bound, lambda view: True)
+        for keep in (lambda view: True, lambda view: "r" in view.predicates()):
+            offered = []
+
+            def counted(view):
+                offered.append(view)
+                return keep(view)
+
+            got = enumerate_view_candidates(arity, schema, bounds, counted)
+            assert got == brute_view_candidates(arity, schema, atom_bound, keep), case
+            # keep meets each distinct view once
+            offered.sort(key=lambda c: (len(c.atoms), c.render()))
+            assert offered == everything, case
+    assert covered == {(kind, n) for kind in ("head", "bound", "pred") for n in (1, 2, 3)}
 
 
 # --- coherence sampling ------------------------------------------------------------------
