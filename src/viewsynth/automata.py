@@ -287,34 +287,25 @@ def accepts(a: NWA, word: Word) -> bool:
 def is_empty(a: NWA) -> tuple[bool, Word | None]:
     """Emptiness with a shortest witness (lexicographically least among them)."""
     a = eliminate_epsilon(a)
-    parent: dict[int, tuple[int, str] | None] = {}
-    queue: deque[int] = deque()
-    for s in sorted(a.initials):
-        parent[s] = None
-        queue.append(s)
-    hit = next((s for s in sorted(a.initials) if s in a.finals), None)
     labels = sorted(a.labels_present())
-    while queue and hit is None:
-        p = queue.popleft()
-        for label in labels:
-            for q in sorted(a.step(p, label)):
-                if q not in parent:
-                    parent[q] = (p, label)
-                    if q in a.finals:
-                        hit = q
-                        queue.clear()
-                        break
-                    queue.append(q)
-            if hit is not None:
-                break
-    if hit is None:
-        return True, None
-    word: list[str] = []
-    state = hit
-    while parent[state] is not None:
-        state, label = parent[state]
-        word.append(label)
-    return False, tuple(reversed(word))
+    # breadth-first over groups of states first reached by the same word, in
+    # word order; states reached by one word must move as one group, or a
+    # later state of the group could reach a final state by a smaller word
+    seen = set(a.initials)
+    level = [(a.initials, ())]
+    while level:
+        for states, word in level:
+            if states & a.finals:
+                return False, word
+        following = []
+        for states, word in level:
+            for label in labels:
+                reached = a.step_set(states, label) - seen
+                if reached:
+                    seen |= reached
+                    following.append((reached, word + (label,)))
+        level = following
+    return True, None
 
 
 def difference_witness(

@@ -20,15 +20,11 @@ from .automata import (
     compile_regex,
     difference_witness,
     to_dot,
+    union_nwa,
 )
 from .congruence import DEFAULT_MONOID_CAP, pairs, transition_monoid
 from .cq_synth import capture_check_cq, synthesize_cq, ucq_contains
-from .rpq_synth import (
-    DEFAULT_SEARCH_BUDGET,
-    capture_check,
-    reduce_to_single_mapping,
-    synthesize,
-)
+from .rpq_synth import DEFAULT_SEARCH_BUDGET, capture_check, synthesize
 from .twoway import contains_2rpq
 
 
@@ -63,7 +59,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--maximal", action="store_true", help="maximize found views")
     p_synth.add_argument("--all", dest="find_all", action="store_true",
                          help="report every passing assignment")
-    p_synth.add_argument("--view-kind", choices=("cq", "ucq"), default="cq")
+    p_synth.add_argument("--view-kind", choices=("cq", "ucq"), default=None,
+                         help="views of (u)cq instances (default cq)")
     add_options(p_synth, "--det-cap", "--monoid-cap", "--budget", "--dot")
     p_synth.set_defaults(func=cmd_synth)
 
@@ -191,14 +188,14 @@ def cmd_synth(args) -> int:
     mode = args.mode or instance.mode
 
     if instance.kind == "rpq":
-        if args.dot:
-            # the search runs on the mappings combined around a separator;
-            # they do not depend on the search, so dump them before it can stop
-            combined, _ = reduce_to_single_mapping(instance.mappings, set(instance.symbols))
-            _dump_dot(args, {
-                "target": compile_regex(combined.target),
-                "source": compile_regex(combined.source),
-            })
+        if args.view_kind:
+            raise InputError("--view-kind applies to cq and ucq instances only")
+        # the search runs on the disjoint unions of the mappings' automata;
+        # they do not depend on the search, so dump them before it can stop
+        _dump_dot(args, {
+            side: union_nwa([compile_regex(getattr(m, side)) for m in instance.mappings])
+            for side in ("target", "source")
+        })
         report = synthesize(
             instance,
             mode,
@@ -214,7 +211,7 @@ def cmd_synth(args) -> int:
         if args.dot:
             raise InputError("--dot dumps the automata of rpq instances only")
         report = synthesize_cq(
-            instance, mode, view_kind=args.view_kind, budget=budget,
+            instance, mode, view_kind=args.view_kind or "cq", budget=budget,
             find_all=args.find_all,
         )
     else:
@@ -299,8 +296,8 @@ def cmd_monoid(args) -> int:
     monoid_cap = _cap(args, "monoid_cap")
     regex = parse_regex(args.regex, None)
     auto = compile_regex(regex)
-    monoid = transition_monoid(auto, cap=monoid_cap)
     _dump_dot(args, {"target": auto})
+    monoid = transition_monoid(auto, cap=monoid_cap)
     lines = [
         f"automaton states: {auto.n_states}",
         f"monoid size: {len(monoid.elements)}",

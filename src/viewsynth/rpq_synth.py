@@ -3,10 +3,9 @@
 The search space follows the congruence-class characterization: if any
 views capture a mapping set, then views that are single congruence classes
 of the target automaton (sound mode) or unions of classes (exact mode)
-also capture it, so enumerating those is complete.  Multi-mapping inputs
-are first combined into one mapping with a fresh separator symbol; the
-separator is a target symbol but never a monoid generator, so synthesized
-view languages stay inside the declared target alphabet.
+also capture it, so enumerating those is complete.  With several mappings
+the target automaton is the disjoint union of their trimmed targets: one
+monoid serves all mappings, and each mapping is checked on its own.
 
 The search decides each candidate in the monoid (:class:`_ClassCapture`):
 nonemptiness and sound containment follow from the relations the classes
@@ -21,7 +20,7 @@ import time
 
 from .errors import BudgetExceeded, InputError
 from .model import EMPTY as EMPTY_REGEX
-from .model import Mapping, ProblemInstance, Regex, RSym, UCQ, Word, rcat
+from .model import Mapping, ProblemInstance, Regex, UCQ, Word
 from .automata import (
     DEFAULT_DET_CAP,
     NWA,
@@ -60,39 +59,6 @@ def realize_views(views: ClassViews, monoid: TransitionMonoid) -> dict[str, "NWA
         sym: class_automaton(monoid, classes) if classes else None
         for sym, classes in views.items()
     }
-
-
-# ---------------------------------------------------------------------------
-# Multi-mapping reduction
-# ---------------------------------------------------------------------------
-
-def reduce_to_single_mapping(
-    mappings, taken_names
-) -> tuple[Mapping, "str | None"]:
-    """Concatenate all mappings around a fresh separator target symbol.
-
-    Views over the original target alphabet capture the mapping set iff
-    they capture the combined mapping; the separator keeps the pieces
-    aligned and is never assigned a view.
-    """
-    mappings = list(mappings)
-    if len(mappings) == 1:
-        return mappings[0], None
-    sep = "#"
-    while sep in taken_names:  # '#' starts comments, so parsed names never collide
-        sep += "#"
-    source = rcat(_interleave([m.source for m in mappings], RSym(sep)))
-    target = rcat(_interleave([m.target for m in mappings], RSym(sep)))
-    return Mapping(source=source, target=target), sep
-
-
-def _interleave(parts, sep):
-    out = []
-    for i, p in enumerate(parts):
-        if i:
-            out.append(sep)
-        out.append(p)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +120,20 @@ class _MappingChecker:
         return record
 
 
+def _checkers(instance: ProblemInstance, det_cap: int) -> list[_MappingChecker]:
+    """One automata capture check per mapping of a path-query instance."""
+    return [
+        _MappingChecker(
+            m,
+            instance.source_names,
+            instance.target_names,
+            det_cap,
+            two_way=instance.kind == "2rpq",
+        )
+        for m in instance.mappings
+    ]
+
+
 def capture_check(
     instance: ProblemInstance,
     views: dict[str, "NWA | None"],
@@ -169,25 +149,17 @@ def capture_check(
         raise InputError("capture_check handles path-query instances only")
     mode = mode or instance.mode
     instance.require_views(views)
-    checkers = [
-        _MappingChecker(
-            m,
-            instance.source_names,
-            instance.target_names,
-            det_cap,
-            two_way=instance.kind == "2rpq",
-        )
-        for m in instance.mappings
-    ]
-    return CaptureResult(mode=mode, per_mapping=[c.check(views, mode) for c in checkers])
+    return CaptureResult(
+        mode=mode, per_mapping=[c.check(views, mode) for c in _checkers(instance, det_cap)]
+    )
 
 
 class _ClassCapture:
     """Sound capture of one mapping by class views, decided in the monoid.
 
     The monoid is that of ``m``, the disjoint union of the trimmed targets
-    of all checked mappings; this mapping's trimmed target ``T`` is the
-    block of ``m`` from state ``offset`` on.  Every word of a congruence
+    of all the instance's mappings; this mapping's trimmed target ``T`` is
+    the block of ``m`` from state ``offset`` on.  Every word of a congruence
     class drives ``m`` by the class's relation, so a concatenation of
     classes and other labels drives it by the product of their relations,
     which keeps a set of ``T``'s states inside ``T``.  Walking the source
@@ -206,9 +178,7 @@ class _ClassCapture:
         a_s = checker.a_s
         self.source_initials = a_s.initials
         self.source_finals = a_s.finals
-        # per source state: (source symbol, None, q) or (None, rows, q); the
-        # non-source labels include the separator, which ``m`` reads but
-        # which is not a monoid generator
+        # per source state: (source symbol, None, q) or (None, rows, q)
         label_rows = {
             x: relation_of_word(m, (x,)) for x in a_s.labels_present() - checker.source_syms
         }
@@ -259,7 +229,6 @@ class _Engine:
         self,
         instance: ProblemInstance,
         mode: str,
-        use_reduction: bool = True,
         det_cap: int = DEFAULT_DET_CAP,
         monoid_cap: int = DEFAULT_MONOID_CAP,
     ):
@@ -267,28 +236,14 @@ class _Engine:
             raise InputError(f"synthesis supports kind rpq only, not {instance.kind}")
         if mode not in ("sound", "exact"):
             raise InputError(f"unknown mode {mode!r}")
-        self.instance = instance
         self.mode = mode
-        self.det_cap = det_cap
         self.occurring = instance.occurring_source_symbols()
-        target_alpha = instance.target_names
-
-        if use_reduction:
-            combined, _sep = reduce_to_single_mapping(
-                instance.mappings, set(instance.symbols)
-            )
-            self.check_mappings = [combined]
-        else:
-            self.check_mappings = list(instance.mappings)
-        self.checkers = [
-            _MappingChecker(m, instance.source_names, target_alpha, det_cap)
-            for m in self.check_mappings
-        ]
+        self.checkers = _checkers(instance, det_cap)
         # the monoid automaton reads every label a source walk reads outside
         # the source symbols; only the target symbols generate the monoid
         targets = [trim(c.a_t) for c in self.checkers]
         m = union_nwa(targets, alphabet=frozenset().union(*(c.alphabet for c in self.checkers)))
-        self.monoid = transition_monoid(m, generators=target_alpha, cap=monoid_cap)
+        self.monoid = transition_monoid(m, generators=instance.target_names, cap=monoid_cap)
         offsets = itertools.accumulate((t.n_states for t in targets), initial=0)
         self.class_checks = [
             _ClassCapture(c, m, self.monoid, t, offset)
@@ -330,7 +285,6 @@ def synthesize(
     *,
     find_all: bool = False,
     maximal: bool = False,
-    use_reduction: bool = True,
     det_cap: int = DEFAULT_DET_CAP,
     monoid_cap: int = DEFAULT_MONOID_CAP,
     budget: int = DEFAULT_SEARCH_BUDGET,
@@ -344,9 +298,7 @@ def synthesize(
     """
     mode = mode or instance.mode
     started = time.monotonic()
-    engine = _Engine(
-        instance, mode, use_reduction=use_reduction, det_cap=det_cap, monoid_cap=monoid_cap
-    )
+    engine = _Engine(instance, mode, det_cap=det_cap, monoid_cap=monoid_cap)
     stats = SearchStats(mode=mode, monoid_size=len(engine.monoid.elements))
 
     if mode == "exact":
@@ -418,7 +370,6 @@ def maximize(
     views: ClassViews,
     mode: str = "sound",
     *,
-    use_reduction: bool = True,
     det_cap: int = DEFAULT_DET_CAP,
     monoid_cap: int = DEFAULT_MONOID_CAP,
 ) -> ClassViews:
@@ -428,9 +379,7 @@ def maximize(
     broken under any larger views, so a single canonical pass suffices.
     Raises when the seed views do not capture.
     """
-    engine = _Engine(
-        instance, mode, use_reduction=use_reduction, det_cap=det_cap, monoid_cap=monoid_cap
-    )
+    engine = _Engine(instance, mode, det_cap=det_cap, monoid_cap=monoid_cap)
     if not engine.assignment_ok(views):
         raise InputError("maximize needs views that already capture the mappings")
     return _maximize_with_engine(engine, views)

@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 from viewsynth.automata import NWA, accepts, compile_regex
+from viewsynth.model import Mapping, ProblemInstance, RSym, rcat
 from viewsynth.parser import parse_instance, parse_regex
 
 SEC6_SOUND = """
@@ -65,6 +66,23 @@ def bounded_language(a: NWA, alphabet, max_len):
 def assert_same_language_bounded(a: NWA, b: NWA, alphabet, max_len):
     for w in all_words(alphabet, max_len):
         assert accepts(a, w) == accepts(b, w), f"disagree on {w!r}"
+
+
+def joined_instance(instance: ProblemInstance) -> ProblemInstance:
+    """The paper's one-mapping instance: the sources, and the targets, joined
+    in order around a separator ``#`` that is declared neither source nor
+    target, so no view can use it."""
+    sep = RSym("#")
+    assert "#" not in instance.symbols
+
+    def join(parts):
+        return rcat([x for i, part in enumerate(parts) for x in ((sep, part) if i else (part,))])
+
+    mapping = Mapping(
+        source=join([m.source for m in instance.mappings]),
+        target=join([m.target for m in instance.mappings]),
+    )
+    return ProblemInstance(instance.kind, instance.symbols, (mapping,), instance.mode)
 
 
 def pytest_runtest_logreport(report):

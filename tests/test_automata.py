@@ -209,6 +209,12 @@ def test_emptiness_matches_bounded_search(r):
         assert witness == min(short_words, key=lambda w: (len(w), w))
 
 
+def test_emptiness_witness_is_least_among_equal_prefixes():
+    # both branches read b2 b1 first; the second one ends with the smaller b1
+    assert is_empty(rx("b2.b1.b2|b2.b1.b1")) == (False, ("b2", "b1", "b1"))
+
+
+
 def test_substitute_monotone():
     q_s = rx("a1.a2")
     small = {"a1": rx("b1"), "a2": rx("b2")}

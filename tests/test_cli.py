@@ -4,7 +4,11 @@ from pathlib import Path
 
 import pytest
 
+from viewsynth.automata import compile_regex, to_dot
 from viewsynth.cli import main
+from viewsynth.parser import parse_instance
+
+from .conftest import rx
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 SOUND = str(DEMOS / "instances" / "sec6_sound.vs")
@@ -133,12 +137,15 @@ def test_synth_dot_dumps_combined_automata(capsys, tmp_path):
     outdir = tmp_path / "dots"
     code, _, _ = run(capsys, "synth", "--dot", str(outdir), two)
     assert code == 0
-    labels = set()
-    for line in (outdir / "target.dot").read_text(encoding="utf-8").splitlines():
-        if "->" in line and "label=" in line:
-            labels.update(line.split('label="')[1].split('"')[0].split(","))
-    assert {"#", "b1", "b2"} <= labels
-    assert (outdir / "source.dot").exists()
+    for side in ("target", "source"):
+        text = (outdir / f"{side}.dot").read_text(encoding="utf-8")
+        labels = set()
+        for line in text.splitlines():
+            if "->" in line and "label=" in line:
+                labels.update(line.split('label="')[1].split('"')[0].split(","))
+        assert "#" not in labels
+        assert text.count("hidden ->") == 2  # one initial state per mapping
+    assert "b2" in (outdir / "target.dot").read_text(encoding="utf-8")
 
 
 def test_synth_dot_dumps_before_a_stopped_search(capsys, tmp_path):
@@ -150,6 +157,14 @@ def test_synth_dot_dumps_before_a_stopped_search(capsys, tmp_path):
     assert "budget" in err
     assert (outdir / "target.dot").read_text(encoding="utf-8").startswith("digraph")
     assert (outdir / "source.dot").read_text(encoding="utf-8").startswith("digraph")
+
+
+@pytest.mark.parametrize("kind", ["cq", "ucq"])
+def test_synth_view_kind_on_rpq_instance_is_input_error(capsys, kind):
+    code, out, err = run(capsys, "synth", "--view-kind", kind, SOUND)
+    assert code == 2
+    assert "--view-kind" in err
+    assert out == ""
 
 
 def test_synth_dot_on_cq_instance_is_input_error(capsys, tmp_path):
@@ -445,6 +460,14 @@ def test_contain_cq_rejects_a_union(capsys):
 
 # --- monoid -----------------------------------------------------------------------
 
+def test_monoid_dot_dumps_before_the_cap_stops_the_build(capsys, tmp_path):
+    outdir = tmp_path / "dots"
+    code, _, err = run(capsys, "monoid", "--monoid-cap", "1", "--dot", str(outdir), "b1.b2")
+    assert code == 3
+    assert "monoid" in err
+    assert (outdir / "target.dot").read_text(encoding="utf-8") == to_dot(rx("b1.b2"), "target")
+
+
 def test_monoid_listing(capsys):
     code, out, _ = run(capsys, "monoid", "b1.b2")
     assert code == 0
@@ -563,14 +586,14 @@ def test_dot_export(capsys, tmp_path):
     assert (outdir / "q1.dot").read_text(encoding="utf-8").startswith("digraph")
 
 
-def _dot(name, finals, edges):
-    """The DOT text of an automaton with states ``0..len(finals)-1``,
-    initial state 0 and the given ``(p, q, label)`` edges."""
+def _dot(name, finals, edges, initials=(0,)):
+    """The DOT text of an automaton with states ``0..len(finals)-1``, the
+    given initial states and the given ``(p, q, label)`` edges."""
     lines = [f"digraph {name} {{", "  rankdir=LR;", '  hidden [shape=point, label=""];']
     for s, final in enumerate(finals):
         shape = "doublecircle" if final else "circle"
         lines.append(f'  q{s} [shape={shape}, label="{s}"];')
-    lines.append("  hidden -> q0;")
+    lines += [f"  hidden -> q{s};" for s in initials]
     lines += [f'  q{p} -> q{q} [label="{label}"];' for p, q, label in edges]
     return "\n".join(lines + ["}"])
 
@@ -591,14 +614,25 @@ def test_synth_dot_files_are_pinned(capsys, tmp_path):
     outdir = tmp_path / "dots"
     two = str(DEMOS / "instances" / "two_mappings.vs")
     assert run(capsys, "synth", "--dot", str(outdir), two)[0] == 0
+    # the disjoint unions of the two mappings' automata, one block each
     assert (outdir / "source.dot").read_text(encoding="utf-8") == _dot(
-        "source", [0, 0, 0, 0, 1], [(0, 1, "a1"), (1, 2, "#"), (2, 3, "a2"), (3, 4, "b1")]
+        "source", [0, 1, 0, 0, 1], [(0, 1, "a1"), (2, 3, "a2"), (3, 4, "b1")], initials=(0, 2)
     )
     assert (outdir / "target.dot").read_text(encoding="utf-8") == _dot(
         "target",
-        [0, 0, 0, 0, 0, 1],
-        [(0, 1, "b1"), (1, 2, "b1"), (2, 3, "#"), (3, 4, "b2"), (4, 5, "b1")],
+        [0, 0, 1, 0, 0, 1],
+        [(0, 1, "b1"), (1, 2, "b1"), (3, 4, "b2"), (4, 5, "b1")],
+        initials=(0, 3),
     )
+
+
+def test_synth_dot_of_one_mapping_is_its_compiled_automata(capsys, tmp_path):
+    outdir = tmp_path / "dots"
+    assert run(capsys, "synth", "--dot", str(outdir), SOUND)[0] == 0
+    inst = parse_instance(Path(SOUND).read_text(encoding="utf-8"))
+    for side in ("source", "target"):
+        auto = compile_regex(getattr(inst.mappings[0], side))
+        assert (outdir / f"{side}.dot").read_text(encoding="utf-8") == to_dot(auto, side)
 
 
 def test_version_flag(capsys):

@@ -8,12 +8,14 @@
   two ``check`` requests in text mode.  They cover every subcommand:
   RPQ/CQ/UCQ ``synth`` in both modes with ``--all`` and ``--maximal``,
   ``check`` of path and CQ views, ``contain`` for all four kinds,
-  ``monoid`` and the four ``oracle`` commands.  The last six entries pin
+  ``monoid`` and the four ``oracle`` commands.  The next six entries pin
   the report shapes: a path check with an empty rewriting (``"witness":
   null``), an exact path check with separating words in both directions
   (JSON and text), the text of a failing CQ check, and two exact ``synth``
   requests that find nothing (CQ with ``bounds``, and RPQ with an empty
-  target).
+  target).  The last entry is a two-mapping RPQ ``synth`` whose second
+  target is empty: its ``monoid_size`` 3 is that of the disjoint union of
+  the two trimmed targets, not of one target joined around a separator.
 - ``demos``: the stdout of each ``demos/0*.py`` script.
 
 Both were recorded with the code before union views began skipping

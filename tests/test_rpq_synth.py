@@ -8,7 +8,7 @@ from viewsynth.errors import BudgetExceeded, InputError
 from viewsynth.model import Mapping, ProblemInstance, RSym, SymbolId, rcat
 from viewsynth.parser import parse_instance, parse_regex
 from viewsynth import rpq_synth
-from viewsynth.automata import accepts, compile_regex, equivalent, is_empty
+from viewsynth.automata import accepts, compile_regex, equivalent, is_empty, trim, union_nwa
 from viewsynth.congruence import class_of, transition_monoid
 from viewsynth.oracle import (
     brute_view_existence_rpq,
@@ -20,14 +20,13 @@ from viewsynth.rpq_synth import (
     capture_check,
     maximize,
     realize_views,
-    reduce_to_single_mapping,
     synthesize,
     synthesize_exact,
     synthesize_sound,
     views_to_regex,
 )
 
-from .conftest import bounded_language, rx
+from .conftest import bounded_language, joined_instance, rx
 
 INSTANCES = Path(__file__).resolve().parent.parent / "demos" / "instances"
 
@@ -39,25 +38,9 @@ def view_language(view, monoid, alphabet, max_len):
     return bounded_language(realized, alphabet, max_len)
 
 
-# --- reduce_to_single_mapping -------------------------------------------------
+# --- per-mapping search against the paper's join ---------------------------------
 
-def test_reduction_single_mapping_unchanged(sec6_sound):
-    mapping, sep = reduce_to_single_mapping(sec6_sound.mappings, set(sec6_sound.symbols))
-    assert mapping is sec6_sound.mappings[0]
-    assert sep is None
-
-
-def test_reduction_two_mappings():
-    inst = parse_instance(
-        "kind rpq\nsource a a_\ntarget b1 b2\nmap a ~> b1\nmap a_ ~> b2\n"
-    )
-    mapping, sep = reduce_to_single_mapping(inst.mappings, set(inst.symbols))
-    assert sep == "#"
-    assert mapping.source.render() == "a.#.a_"
-    assert mapping.target.render() == "b1.#.b2"
-
-
-def test_reduction_separator_avoids_a_target_symbol_named_hash():
+def test_target_symbol_named_hash():
     # parsed names never contain '#', but a library instance may
     symbols = {
         name: SymbolId(name=name, kind=kind, arity=2)
@@ -71,25 +54,40 @@ def test_reduction_separator_avoids_a_target_symbol_named_hash():
             Mapping(source=RSym("c"), target=RSym("b")),
         ),
     )
-    mapping, sep = reduce_to_single_mapping(inst.mappings, set(inst.symbols))
-    assert sep == "##"
-    assert mapping.render() == "a.##.c ~> b.#.##.b"
-    for use_reduction in (True, False):
-        report = synthesize_sound(inst, use_reduction=use_reduction)
-        assert report.outcome == "found"
-        assert {s: r.render() for s, r in report.views_regex.items()} == {"a": "b.#", "c": "b"}
+    report = synthesize_sound(inst)
+    assert report.outcome == "found"
+    assert {s: r.render() for s, r in report.views_regex.items()} == {"a": "b.#", "c": "b"}
+
+
+def test_two_mappings_assignment_counts_are_pinned():
+    # on the paper's join a prefix that empties one piece empties the whole
+    # joined source, so its containment check passes without testing anything
+    inst = parse_instance((INSTANCES / "two_mappings.vs").read_text(encoding="utf-8"))
+    for searched, sound, exact in ((inst, 11, 128), (joined_instance(inst), 18, 4_096)):
+        assert synthesize(searched, "sound").stats.assignments_tried == sound
+        assert synthesize(searched, "exact", find_all=True).stats.assignments_tried == exact
 
 
 def test_reduction_preserves_existence_on_random_instances():
+    # in both modes the per-mapping search finds the views, in the same
+    # order, and builds the monoid that the search on the paper's
+    # one-mapping join does, trying no more assignments
     rng = random.Random(23)
-    agree = 0
-    for _ in range(40):
+    compared = Counter()
+    for _ in range(100):
         inst = random_rpq_instance(rng, n_mappings=rng.randint(2, 3))
-        with_reduction = synthesize_sound(inst, use_reduction=True)
-        without = synthesize_sound(inst, use_reduction=False)
-        assert with_reduction.outcome == without.outcome
-        agree += 1
-    assert agree == 40
+        for mode in ("sound", "exact"):
+            try:
+                joined = synthesize(joined_instance(inst), mode, find_all=True, budget=20_000)
+            except BudgetExceeded:
+                continue
+            report = synthesize(inst, mode, find_all=True, budget=20_000)
+            assert report.views == joined.views, [m.render() for m in inst.mappings]
+            assert report.all_views == joined.all_views
+            assert report.stats.monoid_size == joined.stats.monoid_size
+            assert report.stats.assignments_tried <= joined.stats.assignments_tried
+            compared[mode, report.found] += 1
+    assert min(compared[mode, found] for mode in ("sound", "exact") for found in (True, False)) >= 5
 
 
 # --- capture_check --------------------------------------------------------------
@@ -398,21 +396,10 @@ def test_congruence_closure_preserves_capture():
         outcome, words = brute_view_existence_rpq(inst, budget=500_000)
         if outcome != "found":
             continue
-        combined, _ = reduce_to_single_mapping(inst.mappings, set(inst.symbols))
-        target = compile_regex(combined.target)
-        from viewsynth.automata import trim, eliminate_epsilon
-
-        target = trim(eliminate_epsilon(target))
-        if not set(inst.target_names) <= target.alphabet:
-            from viewsynth.automata import NWA
-
-            target = NWA(
-                target.n_states,
-                target.alphabet | set(inst.target_names),
-                target.initials,
-                target.finals,
-                target.transitions,
-            )
+        # the engine's monoid automaton: the union of the trimmed targets
+        target = union_nwa(
+            [trim(compile_regex(m.target)) for m in inst.mappings], alphabet=inst.target_names
+        )
         monoid = transition_monoid(target, generators=inst.target_names)
         views = {
             sym: frozenset() if word is None else frozenset({class_of(target, word, monoid)})
@@ -484,8 +471,10 @@ def random_class_views(rng, engine, partial):
     return views
 
 
-@pytest.mark.parametrize("use_reduction", [True, False])
-def test_monoid_capture_agrees_with_automata(use_reduction):
+@pytest.mark.parametrize("joined", [True, False])
+def test_monoid_capture_agrees_with_automata(joined):
+    # ``joined`` runs the check on the paper's one-mapping join of the
+    # random instance, whose target carries the undeclared label ``#``
     rng = random.Random(67)
     verdicts = Counter()
     for _ in range(50):
@@ -496,8 +485,10 @@ def test_monoid_capture_agrees_with_automata(use_reduction):
             max_target_symbols=3,
             max_target_leaves=4,
         )
-        engine = _Engine(inst, "sound", use_reduction=use_reduction)
-        exact = _Engine(inst, "exact", use_reduction=use_reduction)
+        if joined:
+            inst = joined_instance(inst)
+        engine = _Engine(inst, "sound")
+        exact = _Engine(inst, "exact")
         for trial in range(20):
             partial = trial % 4 == 0
             views = random_class_views(rng, engine, partial)
@@ -542,8 +533,10 @@ def test_missing_view_is_the_empty_view(mode):
     assert accepted >= 5
 
 
-@pytest.mark.parametrize("use_reduction", [True, False])
-def test_sound_search_agrees_with_brute_oracle(use_reduction):
+@pytest.mark.parametrize("joined", [True, False])
+def test_sound_search_agrees_with_brute_oracle(joined):
+    # the paper's join preserves existence, so the search on the joined
+    # instance must agree with the oracle on the instance as drawn
     rng = random.Random(71)
     decided = 0
     for _ in range(30):
@@ -552,7 +545,8 @@ def test_sound_search_agrees_with_brute_oracle(use_reduction):
             oracle, _ = brute_view_existence_rpq(inst, budget=100_000)
         except BudgetExceeded:
             continue
-        assert synthesize_sound(inst, use_reduction=use_reduction).outcome == oracle
+        searched = joined_instance(inst) if joined else inst
+        assert synthesize_sound(searched).outcome == oracle
         decided += 1
     assert decided >= 20
 
