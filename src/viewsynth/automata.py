@@ -1,10 +1,10 @@
 """One-way finite word automata and the algebra used by synthesis.
 
 NWAs are immutable after construction; every operation below is a pure
-function, so automata can be shared freely across threads.  Epsilon
-transitions (label ``None``) are permitted during construction and removed
-by :func:`eliminate_epsilon`; the product/determinization/monoid code
-requires epsilon-free input and calls it as needed.
+function, so automata can be shared freely across threads.  Every NWA is
+epsilon-free: its constructor rejects any label outside the alphabet, the
+epsilon label ``None`` included.  Epsilon edges exist only in the raw parts
+that view substitution hands to :func:`eliminate_epsilon`.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .model import (
 
 DEFAULT_DET_CAP = 100_000
 
-Transition = tuple[int, "str | None", int]
+Transition = tuple[int, str, int]
 
 
 class NWA:
@@ -38,6 +38,8 @@ class NWA:
 
     Multiple initial states are allowed.  A deterministic automaton is an
     NWA with one initial state and one successor per state and symbol.
+    Every label is a symbol of the alphabet, so an NWA has no epsilon
+    transitions; :func:`eliminate_epsilon` is the one place they exist.
     """
 
     __slots__ = ("n_states", "alphabet", "initials", "finals", "transitions", "_step")
@@ -51,17 +53,17 @@ class NWA:
         for p, a, q in self.transitions:
             if not (0 <= p < self.n_states and 0 <= q < self.n_states):
                 raise InputError(f"transition ({p},{a},{q}) leaves the state range")
-            if a is not None and a not in self.alphabet:
+            if a not in self.alphabet:
                 raise InputError(f"transition label {a!r} outside the alphabet")
         for s in self.initials | self.finals:
             if not 0 <= s < self.n_states:
                 raise InputError(f"state {s} out of range")
-        step: dict[tuple[int, str | None], set[int]] = {}
+        step: dict[tuple[int, str], set[int]] = {}
         for p, a, q in self.transitions:
             step.setdefault((p, a), set()).add(q)
         self._step = {k: frozenset(v) for k, v in step.items()}
 
-    def step(self, state: int, label: "str | None") -> frozenset[int]:
+    def step(self, state: int, label: str) -> frozenset[int]:
         return self._step.get((state, label), frozenset())
 
     def step_set(self, states, label) -> frozenset[int]:
@@ -70,12 +72,8 @@ class NWA:
             out |= self.step(s, label)
         return frozenset(out)
 
-    @property
-    def has_epsilon(self) -> bool:
-        return any(a is None for _, a, _ in self.transitions)
-
     def labels_present(self) -> frozenset[str]:
-        return frozenset(a for _, a, _ in self.transitions if a is not None)
+        return frozenset(a for _, a, _ in self.transitions)
 
     def __repr__(self):
         return (
@@ -138,32 +136,28 @@ def compile_regex(regex: Regex) -> NWA:
 # Basic algebra
 # ---------------------------------------------------------------------------
 
-def eliminate_epsilon(a: NWA) -> NWA:
-    """An equivalent NWA without epsilon transitions."""
-    if not a.has_epsilon:
-        return a
-    closure: list[frozenset[int]] = []
-    for s in range(a.n_states):
-        seen = {s}
-        stack = [s]
+def eliminate_epsilon(n_states, alphabet, initials, finals, transitions) -> NWA:
+    """The NWA of the given parts, whose transitions may carry the epsilon
+    label ``None``, with the same states and language and no epsilon."""
+    epsilon: dict[int, list[int]] = {}
+    labelled: dict[int, list[tuple[str, int]]] = {}
+    for p, x, q in transitions:
+        if x is None:
+            epsilon.setdefault(p, []).append(q)
+        else:
+            labelled.setdefault(p, []).append((x, q))
+    clean, clean_finals = set(), set()
+    for p in range(n_states):
+        closure, stack = {p}, [p]
         while stack:
-            for t in a.step(stack.pop(), None):
-                if t not in seen:
-                    seen.add(t)
+            for t in epsilon.get(stack.pop(), ()):
+                if t not in closure:
+                    closure.add(t)
                     stack.append(t)
-        closure.append(frozenset(seen))
-    labelled: dict[int, list[tuple[str, frozenset[int]]]] = {}
-    for (src, label), dsts in a._step.items():
-        if label is not None:
-            labelled.setdefault(src, []).append((label, dsts))
-    transitions = set()
-    for p in range(a.n_states):
-        for q in closure[p]:
-            for label, dsts in labelled.get(q, ()):
-                for d in dsts:
-                    transitions.add((p, label, d))
-    finals = {s for s in range(a.n_states) if closure[s] & a.finals}
-    return NWA(a.n_states, a.alphabet, a.initials, finals, transitions)
+        clean.update((p, x, d) for q in closure for x, d in labelled.get(q, ()))
+        if not closure.isdisjoint(finals):
+            clean_finals.add(p)
+    return NWA(n_states, alphabet, initials, clean_finals, clean)
 
 
 def trim(a: NWA) -> NWA:
@@ -204,8 +198,6 @@ def _reachable(a: NWA, seeds, forward: bool) -> set[int]:
 
 def product(a: NWA, b: NWA, alphabet=None) -> NWA:
     """Intersection of two languages over the shared alphabet."""
-    a = eliminate_epsilon(a)
-    b = eliminate_epsilon(b)
     labels = frozenset(alphabet) if alphabet is not None else a.alphabet | b.alphabet
     index: dict[tuple[int, int], int] = {}
     transitions = set()
@@ -240,7 +232,6 @@ def determinize(a: NWA, cap: int = DEFAULT_DET_CAP, alphabet=None) -> NWA:
     """
     if cap <= 0:
         raise InputError("determinization cap must be positive")
-    a = eliminate_epsilon(a)
     labels = sorted(frozenset(alphabet) if alphabet is not None else a.alphabet)
     start = frozenset(a.initials)
     index: dict[frozenset[int], int] = {start: 0}
@@ -265,7 +256,7 @@ def determinize(a: NWA, cap: int = DEFAULT_DET_CAP, alphabet=None) -> NWA:
 
 def complement(a: NWA) -> NWA:
     """Complement of a complete deterministic NWA over its own alphabet."""
-    deterministic = len(a.initials) == 1 and not a.has_epsilon and all(
+    deterministic = len(a.initials) == 1 and all(
         len(a.step(s, x)) == 1 for s in range(a.n_states) for x in a.alphabet
     )
     if not deterministic:
@@ -275,7 +266,6 @@ def complement(a: NWA) -> NWA:
 
 
 def accepts(a: NWA, word: Word) -> bool:
-    a = eliminate_epsilon(a)
     current = frozenset(a.initials)
     for label in word:
         current = a.step_set(current, label)
@@ -286,7 +276,6 @@ def accepts(a: NWA, word: Word) -> bool:
 
 def is_empty(a: NWA) -> tuple[bool, Word | None]:
     """Emptiness with a shortest witness (lexicographically least among them)."""
-    a = eliminate_epsilon(a)
     labels = sorted(a.labels_present())
     # breadth-first over groups of states first reached by the same word, in
     # word order; states reached by one word must move as one group, or a
@@ -341,8 +330,8 @@ def substitute(
 
     A view of ``None`` (the empty query) deletes the transition; otherwise a
     fresh copy of the view automaton is spliced between the endpoints with
-    epsilon transitions, which are eliminated afterwards.  Transitions over
-    target symbols pass through unchanged.
+    epsilon transitions that :func:`eliminate_epsilon` removes.  Transitions
+    over target symbols pass through unchanged.
     """
     source_symbols = set(source_symbols)
     occurring = a.labels_present() & source_symbols
@@ -353,7 +342,7 @@ def substitute(
     labels: set[str] = set(a.alphabet - source_symbols)
     if target_alphabet is not None:
         labels |= set(target_alphabet)
-    transitions: set[Transition] = set()
+    transitions: set[tuple[int, "str | None", int]] = set()
     n = a.n_states
     for p, x, q in a.transitions:
         if x not in source_symbols:
@@ -362,7 +351,6 @@ def substitute(
         view = views[x]
         if view is None:
             continue
-        view = eliminate_epsilon(view)
         labels |= view.alphabet
         offset = n
         n += view.n_states
@@ -372,8 +360,7 @@ def substitute(
             transitions.add((p, None, i + offset))
         for f in view.finals:
             transitions.add((f + offset, None, q))
-    spliced = NWA(n, labels, a.initials, a.finals, transitions)
-    return trim(eliminate_epsilon(spliced))
+    return trim(eliminate_epsilon(n, labels, a.initials, a.finals, transitions))
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +369,7 @@ def substitute(
 
 def nwa_to_regex(a: NWA) -> Regex:
     """A regex denoting exactly L(a), by state elimination."""
-    a = trim(eliminate_epsilon(a))
+    a = trim(a)
     empty, _ = is_empty(a)
     if empty:
         return EMPTY
@@ -424,8 +411,8 @@ def to_dot(a: NWA, name: str = "nwa") -> str:
     for i in sorted(a.initials):
         lines.append(f"  hidden -> q{i};")
     grouped: dict[tuple[int, int], list[str]] = {}
-    for p, x, q in sorted(a.transitions, key=lambda t: (t[0], t[2], str(t[1]))):
-        grouped.setdefault((p, q), []).append("ε" if x is None else x)
+    for p, x, q in sorted(a.transitions, key=lambda t: (t[0], t[2], t[1])):
+        grouped.setdefault((p, q), []).append(x)
     for (p, q), labels in sorted(grouped.items()):
         label = ",".join(labels)
         lines.append(f'  q{p} -> q{q} [label="{label}"];')

@@ -283,6 +283,13 @@ def cmd_contain(args) -> int:
         raise InputError("kind cq admits single-disjunct queries only")
     if q1.arity != q2.arity:
         raise InputError("queries disagree on head arity")
+    arities: dict[str, int] = {}
+    for atom in (a for q in (q1, q2) for d in q.disjuncts for a in d.atoms):
+        if arities.setdefault(atom.pred, len(atom.args)) != len(atom.args):
+            raise InputError(
+                f"predicate {atom.pred!r} used with arities "
+                f"{arities[atom.pred]} and {len(atom.args)}"
+            )
     holds = ucq_contains(q1, q2)
     _emit(
         args,

@@ -51,8 +51,6 @@ def pairs(r: tuple[int, ...]) -> list[tuple[int, int]]:
 
 def relation_of_word(a: NWA, word: Word) -> tuple[int, ...]:
     """The relation ``{(p, q) : q reachable from p by reading word}``."""
-    if a.has_epsilon:
-        raise InputError("relation_of_word needs an epsilon-free automaton")
     for label in word:
         if label not in a.alphabet:
             raise InputError(f"symbol {label!r} outside the automaton's alphabet")
@@ -78,9 +76,10 @@ class TransitionMonoid:
     ``elements`` is in canonical order: by the integer that shifts row
     ``i`` by ``i * n`` bits, so by the reversed row tuples.  Each element
     carries one shortest witness word realizing it.  The generator alphabet
-    may be a subset of the automaton's alphabet (used after the
-    multi-mapping reduction, where the separator symbol never occurs in a
-    view language).
+    may be a subset of the automaton's alphabet: labels of the automaton
+    that are not declared target symbols, as in an instance built through
+    the library rather than parsed, never occur in a view language and
+    generate nothing.
     """
 
     alphabet: tuple[str, ...]
@@ -128,8 +127,6 @@ def transition_monoid(
     Witnesses are assigned in BFS order (shortest first, ties broken by the
     sorted generator order), so results are deterministic.
     """
-    if a.has_epsilon:
-        raise InputError("transition_monoid needs an epsilon-free automaton")
     alphabet = tuple(sorted(a.alphabet if generators is None else generators))
     for g in alphabet:
         if g not in a.alphabet:

@@ -345,8 +345,8 @@ def synthesize_cq(
     occurring = instance.occurring_source_symbols()
     target_schema = {n: instance.symbols[n].arity for n in instance.target_names}
 
-    def spend(n: int = 1):
-        stats.checks += n
+    def spend():
+        stats.checks += 1
         if stats.checks > budget:
             raise BudgetExceeded("candidate view search", budget)
 

@@ -94,7 +94,6 @@ def eval_2rpq(db: GraphDatabase, a: NWA) -> set[tuple[str, str]]:
 
 
 def _eval_path(db: GraphDatabase, a: NWA, two_way: bool) -> set[tuple[str, str]]:
-    a = eliminate_epsilon(a)
     forward: dict[tuple[str, str], set[str]] = {}
     backward: dict[tuple[str, str], set[str]] = {}
     for s, lbl, d in db.edges:
@@ -259,7 +258,6 @@ def brute_view_candidates(
 
 def enumerate_language(a: NWA, max_len: int, cap: int | None = None) -> list[Word]:
     """All accepted words of length at most ``max_len``, shortest first."""
-    a = eliminate_epsilon(a)
     out: list[Word] = []
     layer: dict[Word, frozenset[int]] = {(): frozenset(a.initials)}
     for _ in range(max_len + 1):
@@ -284,8 +282,6 @@ def nfa_contained_brute(a: NWA, b: NWA) -> bool:
     Independent of the engine's determinize/complement pipeline: explores
     pairs (reachable subset of a, reachable subset of b) directly.
     """
-    a = eliminate_epsilon(a)
-    b = eliminate_epsilon(b)
     labels = sorted(a.labels_present() | b.alphabet)
     start = (frozenset(a.initials), frozenset(b.initials))
     seen = {start}
@@ -333,7 +329,7 @@ def substitute_words(a: NWA, views: dict[str, "Word | None"], source_symbols) ->
             prev = n
             n += 1
         transitions.add((prev, word[-1], q))
-    return eliminate_epsilon(NWA(n, labels, a.initials, a.finals, transitions))
+    return eliminate_epsilon(n, labels, a.initials, a.finals, transitions)
 
 
 # ---------------------------------------------------------------------------
@@ -389,12 +385,8 @@ def brute_view_existence_rpq(
         raise InputError("the brute RPQ oracle handles kind rpq only")
     target_alpha = sorted(instance.target_names)
     sources = instance.occurring_source_symbols()
-    source_autos = [
-        eliminate_epsilon(compile_regex(m.source)) for m in instance.mappings
-    ]
-    target_autos = [
-        eliminate_epsilon(compile_regex(m.target)) for m in instance.mappings
-    ]
+    source_autos = [compile_regex(m.source) for m in instance.mappings]
+    target_autos = [compile_regex(m.target) for m in instance.mappings]
 
     word_bound = _stabilization_length(target_autos, target_alpha, max_len=12)
     words: list[Word] = [()]

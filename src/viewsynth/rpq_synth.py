@@ -26,7 +26,6 @@ from .automata import (
     NWA,
     compile_regex,
     difference_witness,
-    eliminate_epsilon,
     is_empty,
     nwa_to_regex,
     substitute,
@@ -78,8 +77,8 @@ class _MappingChecker:
         if isinstance(mapping.source, UCQ):
             raise InputError("path-query capture check got a relational mapping")
         self.source_syms = frozenset(source_syms)
-        self.a_s = eliminate_epsilon(compile_regex(mapping.source))
-        self.a_t = eliminate_epsilon(compile_regex(mapping.target))
+        self.a_s = compile_regex(mapping.source)
+        self.a_t = compile_regex(mapping.target)
         self.det_cap = det_cap
         self.two_way = two_way
         self.alphabet = frozenset(
@@ -301,13 +300,13 @@ def synthesize(
     engine = _Engine(instance, mode, det_cap=det_cap, monoid_cap=monoid_cap)
     stats = SearchStats(mode=mode, monoid_size=len(engine.monoid.elements))
 
-    if mode == "exact":
-        # the problem trivializes on an empty target query
-        for checker in engine.checkers:
-            empty, _ = is_empty(checker.a_t)
-            if empty:
-                stats.elapsed = time.monotonic() - started
-                return SynthesisReport("not-found", None, None, stats, monoid=engine.monoid)
+    # a capturing rewriting, sound or exact, is nonempty and contained in
+    # its target, so an empty target admits none
+    for checker in engine.checkers:
+        empty, _ = is_empty(checker.a_t)
+        if empty:
+            stats.elapsed = time.monotonic() - started
+            return SynthesisReport("not-found", None, None, stats, monoid=engine.monoid)
 
     def accept(views: ClassViews) -> "ClassViews | None":
         stats.assignments_tried += 1

@@ -20,7 +20,7 @@ from collections import deque
 
 from .errors import CapExceeded, InputError
 from .model import Word, inverse
-from .automata import DEFAULT_DET_CAP, NWA, contains, eliminate_epsilon
+from .automata import DEFAULT_DET_CAP, NWA, contains
 from .congruence import image
 
 LEFT_END = "⊢"   # ⊢
@@ -143,7 +143,6 @@ def fold_automaton(a: NWA) -> TwoNWA:
     ``(p, L)`` of ``a``'s states so that each crossing reads the cell it
     traverses, plus a start state sitting on the left endmarker.
     """
-    a = eliminate_epsilon(a)
     tape = sorted(a.alphabet | {inverse(s) for s in a.alphabet})
     # state numbering: 0 = start; then (p, R) -> 1 + 2p, (p, L) -> 2 + 2p
     def right_state(p):
@@ -253,12 +252,11 @@ def two_to_one(t: TwoNWA, cap: int = DEFAULT_DET_CAP, within: NWA | None = None)
         guide_initials = [0]
         guide_moves = {0: [(symbol, (0,)) for symbol in alphabet]}
     else:
-        guide = eliminate_epsilon(within)
-        guide_initials = sorted(guide.initials)
+        guide_initials = sorted(within.initials)
         guide_moves = {
-            g: [(symbol, sorted(guide.step(g, symbol)))
-                for symbol in alphabet if guide.step(g, symbol)]
-            for g in range(guide.n_states)
+            g: [(symbol, sorted(within.step(g, symbol)))
+                for symbol in alphabet if within.step(g, symbol)]
+            for g in range(within.n_states)
         }
 
     index: dict[tuple[int, tuple[int, ...]], int] = {(e0, t0): 0}

@@ -3,10 +3,17 @@
 import itertools
 
 import pytest
+from hypothesis import settings
 
 from viewsynth.automata import NWA, accepts, compile_regex
 from viewsynth.model import Mapping, ProblemInstance, RSym, rcat
 from viewsynth.parser import parse_instance, parse_regex
+
+# Hypothesis draws the same examples on every run (a seed derived from each
+# test) and neither stores nor replays examples, so tier-1 is repeatable;
+# each test's own @settings still sets its max_examples.
+settings.register_profile("repeatable", derandomize=True)
+settings.load_profile("repeatable")
 
 SEC6_SOUND = """
 kind rpq

@@ -109,13 +109,17 @@ def test_complement_requires_complete():
     [
         ({0, 1}, {(0, "b1", 0), (1, "b1", 1)}),
         ({0}, {(0, "b1", 0), (0, "b1", 1), (1, "b1", 1)}),
-        ({0}, {(0, "b1", 0), (1, "b1", 1), (0, None, 1)}),
     ],
-    ids=["two-initials", "two-successors", "epsilon"],
+    ids=["two-initials", "two-successors"],
 )
 def test_complement_requires_deterministic(initials, transitions):
     with pytest.raises(InputError):
         complement(NWA(2, {"b1"}, initials, {1}, transitions))
+
+
+def test_nwa_rejects_epsilon_label():
+    with pytest.raises(InputError, match="outside the alphabet"):
+        NWA(2, {"b1"}, {0}, {1}, {(0, None, 1)})
 
 
 # --- containment ------------------------------------------------------------
@@ -181,6 +185,14 @@ def test_substitute_matches_textual_substitution():
         got = bounded_language(via_automata, {"b1", "b2"}, 3)
         want = {w for w in texted if len(w) <= 3}
         assert got == want
+    # a view accepting the empty word, spliced into source loops, closes
+    # cycles of epsilon edges through the loop states
+    a = rx("(a.b2)*.a*", alphabet={"a", "b2"})
+    via_automata = substitute(a, {"a": rx("b1*")}, {"a"}, {"b1", "b2"})
+    want = rx("(b1*.b2)*.b1*")
+    assert bounded_language(via_automata, {"b1", "b2"}, 5) == bounded_language(
+        want, {"b1", "b2"}, 5
+    )
 
 
 @settings(max_examples=60, deadline=None)
@@ -239,15 +251,13 @@ def test_state_elimination_round_trip(r):
 
 
 def test_epsilon_elimination():
-    a = NWA(
+    clean = eliminate_epsilon(
         3,
         {"b1"},
         {0},
         {2},
         {(0, None, 1), (1, "b1", 2), (2, None, 0)},
     )
-    clean = eliminate_epsilon(a)
-    assert not clean.has_epsilon
     assert bounded_language(clean, {"b1"}, 3) == {("b1",), ("b1", "b1"), ("b1", "b1", "b1")}
 
 

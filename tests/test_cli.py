@@ -111,6 +111,20 @@ def test_synth_bad_file_exit_2(capsys, tmp_path):
     assert "zz" in err
 
 
+def test_synth_sound_empty_target_is_not_found_at_once(capsys, tmp_path):
+    # no nonempty rewriting is contained in an empty target, in either mode
+    f = tmp_path / "empty.vs"
+    f.write_text(
+        "kind rpq\nsource a c d\ntarget b1 b2 b3\n"
+        "map a.c.d ~> empty\nmap a ~> (b1|b2.b3)*.b1.b2\n",
+        encoding="utf-8",
+    )
+    for mode in ("sound", "exact"):
+        code, out, _ = run(capsys, "synth", "--mode", mode, "--budget", "100", str(f))
+        assert code == 1
+        assert "not-found" in out
+
+
 def test_synth_2rpq_rejected(capsys, tmp_path):
     f = tmp_path / "two.vs"
     f.write_text("kind 2rpq\nsource a\ntarget b\nmap a ~> b.b^-.b\n", encoding="utf-8")
@@ -456,6 +470,19 @@ def test_contain_cq_rejects_a_union(capsys):
         assert code == 2
         assert "single-disjunct" in err
     assert run(capsys, "contain", "--kind", "ucq", union, "q(x) :- r(x)")[0] == 1
+
+
+@pytest.mark.parametrize("kind, q1, q2", [
+    ("ucq", "q(x) :- r(x,y)", "q(x) :- r(x)"),
+    ("cq", "q(x) :- r(x)", "q(x) :- r(x,x)"),
+    ("ucq", "q(x) :- r(x) ; q(x) :- s(x), r(x,x)", "q(x) :- s(x)"),
+    ("cq", "q(x) :- r(x), r(x,x)", "q(x) :- r(x)"),
+], ids=["across-ucq", "across-cq", "across-disjuncts", "within-one-body"])
+def test_contain_predicate_at_two_arities_is_input_error(capsys, kind, q1, q2):
+    code, out, err = run(capsys, "contain", "--kind", kind, q1, q2)
+    assert code == 2
+    assert out == ""
+    assert "predicate 'r' used with arities" in err
 
 
 # --- monoid -----------------------------------------------------------------------
