@@ -13,8 +13,10 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .errors import BudgetExceeded, CapExceeded, InputError, ParseError, ViewSynthError
-from .parser import parse_instance, parse_regex, parse_ucq, parse_views
+from .errors import BudgetExceeded, CapExceeded, InputError, ViewSynthError
+from .parser import (
+    parse_facts, parse_instance, parse_pair, parse_regex, parse_ucq_over, parse_views,
+)
 from .automata import (
     DEFAULT_DET_CAP,
     compile_regex,
@@ -258,44 +260,24 @@ def cmd_check(args) -> int:
 
 def cmd_contain(args) -> int:
     det_cap = _cap(args, "det_cap")
-    if args.kind in ("rpq", "2rpq"):
-        two_way = args.kind == "2rpq"
-        a1 = compile_regex(parse_regex(args.q1, None, two_way=two_way))
-        a2 = compile_regex(parse_regex(args.q2, None, two_way=two_way))
+    q1, q2 = parse_pair(args.kind, args.q1, args.q2)
+    witness = None
+    if args.kind in ("cq", "ucq"):
+        holds = ucq_contains(q1, q2)
+    else:
+        a1, a2 = compile_regex(q1), compile_regex(q2)
         _dump_dot(args, {"q1": a1, "q2": a2})
-        witness = None
-        if two_way:
+        if args.kind == "2rpq":
             holds = contains_2rpq(a1, a2, cap=det_cap)
         else:
             witness = difference_witness(a1, a2, cap=det_cap)
             holds = witness is None
-        payload = {"holds": holds, "kind": args.kind}
-        text = f"containment {'holds' if holds else 'does not hold'}"
-        if witness is not None:
-            payload["witness"] = list(witness)
-            text += f" (witness: {' '.join(witness) or 'eps'})"
-        _emit(args, payload, text)
-        return 0 if holds else 1
-
-    q1 = parse_ucq(args.q1)
-    q2 = parse_ucq(args.q2)
-    if args.kind == "cq" and any(len(q.disjuncts) != 1 for q in (q1, q2)):
-        raise InputError("kind cq admits single-disjunct queries only")
-    if q1.arity != q2.arity:
-        raise InputError("queries disagree on head arity")
-    arities: dict[str, int] = {}
-    for atom in (a for q in (q1, q2) for d in q.disjuncts for a in d.atoms):
-        if arities.setdefault(atom.pred, len(atom.args)) != len(atom.args):
-            raise InputError(
-                f"predicate {atom.pred!r} used with arities "
-                f"{arities[atom.pred]} and {len(atom.args)}"
-            )
-    holds = ucq_contains(q1, q2)
-    _emit(
-        args,
-        {"holds": holds, "kind": args.kind},
-        f"containment {'holds' if holds else 'does not hold'}",
-    )
+    payload = {"holds": holds, "kind": args.kind}
+    text = f"containment {'holds' if holds else 'does not hold'}"
+    if witness is not None:
+        payload["witness"] = list(witness)
+        text += f" (witness: {' '.join(witness) or 'eps'})"
+    _emit(args, payload, text)
     return 0 if holds else 1
 
 
@@ -338,17 +320,8 @@ def cmd_oracle_eval(args) -> int:
 def cmd_oracle_eval_ucq(args) -> int:
     from .oracle import eval_ucq, rel_instance
 
-    facts: dict[str, set[tuple[str, ...]]] = {}
-    for lineno, raw in enumerate(_read(args.facts).splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        pred, *consts = line.split()
-        if not consts:
-            raise ParseError("a fact needs at least one constant", lineno)
-        facts.setdefault(pred, set()).add(tuple(consts))
-    query = parse_ucq(args.query)
-    rows = sorted(eval_ucq(rel_instance(facts), query))
+    facts = parse_facts(_read(args.facts))
+    rows = sorted(eval_ucq(rel_instance(facts), parse_ucq_over(args.query, facts)))
     text = "\n".join(" ".join(r) for r in rows) or "(no tuples)"
     _emit(args, {"tuples": [list(r) for r in rows]}, text)
     return 0

@@ -214,20 +214,8 @@ class CQ:
             out.update(a.args)
         return out
 
-    def body_variables(self) -> set[str]:
-        out: set[str] = set()
-        for a in self.atoms:
-            out.update(a.args)
-        return out
-
     def predicates(self) -> set[str]:
         return {a.pred for a in self.atoms}
-
-    def validate(self) -> None:
-        body_vars = self.body_variables()
-        for v in self.head:
-            if v not in body_vars:
-                raise InputError(f"head variable {v} does not occur in any atom")
 
     def render(self, head_name: str = "q") -> str:
         body = ", ".join(a.render() for a in self.atoms)
@@ -251,11 +239,11 @@ class UCQ:
     def arity(self) -> int:
         return len(self.disjuncts[0].head)
 
+    def atoms(self):
+        return (a for d in self.disjuncts for a in d.atoms)
+
     def predicates(self) -> set[str]:
-        out: set[str] = set()
-        for d in self.disjuncts:
-            out.update(d.predicates())
-        return out
+        return {a.pred for a in self.atoms()}
 
     def render(self) -> str:
         return " ; ".join(d.render() for d in self.disjuncts)

@@ -4,18 +4,19 @@ Everything here re-derives its answers from first principles (graph
 reachability, word enumeration, homomorphism enumeration) without calling
 into the determinize/complement containment pipeline, so agreement between
 this module and the engine is meaningful evidence.  The only shared code is
-the errors, the model's data types, and from automata the NWA type with
-regex compilation and epsilon elimination.
+the errors, the model's data types, from automata the NWA type with regex
+compilation and epsilon elimination, and the parser's line reader.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+import re
 from collections import deque
 from dataclasses import dataclass, field
 
-from .errors import BudgetExceeded, InputError
+from .errors import BudgetExceeded, InputError, ParseError
 from .model import (
     Atom,
     CQ,
@@ -34,6 +35,7 @@ from .model import (
     rstar,
 )
 from .automata import NWA, compile_regex, eliminate_epsilon
+from .parser import _content_lines
 
 DEFAULT_ORACLE_BUDGET = 2_000_000
 
@@ -65,18 +67,11 @@ def parse_graph(text: str) -> GraphDatabase:
     """Parse the edge-list format ``node -label-> node``, one edge per line."""
     nodes: set[str] = set()
     edges: set[tuple[str, str, str]] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        try:
-            src, rest = line.split("-", 1)
-            label, dst = rest.split("->", 1)
-        except ValueError:
-            raise InputError(f"line {lineno}: expected 'node -label-> node'") from None
-        src, label, dst = src.strip(), label.strip(), dst.strip()
+    for lineno, line in _content_lines(text):
+        m = re.fullmatch(r"([^-]*)-(.*?)->(.*)", line)
+        src, label, dst = (g.strip() for g in m.groups()) if m else ("", "", "")
         if not (src and label and dst):
-            raise InputError(f"line {lineno}: expected 'node -label-> node'")
+            raise ParseError("expected 'node -label-> node'", lineno)
         nodes |= {src, dst}
         edges.add((src, label, dst))
     return GraphDatabase(frozenset(nodes), frozenset(edges))

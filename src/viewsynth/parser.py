@@ -13,7 +13,8 @@ for union, ``*`` for iteration, ``eps`` / ``empty`` for the unit and zero
 languages.  In 2rpq instances a symbol may carry the inverse suffix ``^-``.
 CQs are written ``q(x,y) :- r(x,z), s(z,y)``; ``;`` separates UCQ disjuncts.
 
-Views files hold lines ``view NAME = REGEX|CQ|empty``.
+Views files hold lines ``view NAME = REGEX|CQ|empty``.  Facts files (databases
+for ``oracle eval-ucq``) hold lines ``PRED CONST ...``, each PRED at one arity.
 """
 
 from __future__ import annotations
@@ -175,12 +176,15 @@ def parse_cq(
 ) -> CQ:
     """Parse one rule ``q(x,y) :- r(x,z), s(z,y)``.
 
-    ``schema`` maps declared predicate names to arities; ``None`` accepts any.
+    ``schema`` maps declared predicate names to arities; ``None`` accepts any
+    predicate, each at one arity.
     """
     toks = _Tokens(text, _CQ_TOKEN, line)
     cq = _parse_rule(toks, schema)
     if not toks.done():
         raise ParseError(f"trailing input {toks.peek()!r}", line, toks.column())
+    if schema is None:
+        _one_arity(cq.atoms, {}, line)
     return cq
 
 
@@ -190,14 +194,27 @@ def parse_ucq(
     *,
     line: int | None = None,
 ) -> UCQ:
-    """Parse ``;``-separated rules into a UCQ."""
+    """Parse ``;``-separated rules into a UCQ; ``schema`` as for
+    :func:`parse_cq`, so without one a predicate keeps one arity in all rules."""
     disjuncts = []
     for part in text.split(";"):
         if part.strip() == "":
             raise ParseError("empty disjunct", line)
         disjuncts.append(parse_cq(part, schema, line=line))
     ucq = UCQ(tuple(disjuncts))
+    if schema is None:
+        _one_arity(ucq.atoms(), {}, line)
     return ucq
+
+
+def _one_arity(atoms, arities: dict[str, int], line: int | None = None) -> None:
+    """Record each atom's arity in ``arities``; a predicate at a second arity is an error."""
+    for atom in atoms:
+        n = len(atom.args)
+        if arities.setdefault(atom.pred, n) != n:
+            raise ParseError(
+                f"predicate {atom.pred!r} used with arities {arities[atom.pred]} and {n}", line
+            )
 
 
 def _parse_rule(toks: _Tokens, schema) -> CQ:
@@ -208,9 +225,11 @@ def _parse_rule(toks: _Tokens, schema) -> CQ:
     while toks.peek() == ",":
         toks.next()
         atoms.append(_parse_atom_cq(toks, schema))
-    cq = CQ(tuple(head), tuple(atoms))
-    cq.validate()
-    return cq
+    body_vars = {v for a in atoms for v in a.args}
+    for v in head:
+        if v not in body_vars:
+            raise ParseError(f"head variable {v} does not occur in any atom", toks.line)
+    return CQ(tuple(head), tuple(atoms))
 
 
 def _parse_term_list(toks: _Tokens) -> list[str]:
@@ -243,7 +262,7 @@ def _parse_atom_cq(toks: _Tokens, schema) -> Atom:
 
 
 # ---------------------------------------------------------------------------
-# Instance files
+# Instance and facts files
 # ---------------------------------------------------------------------------
 
 def _content_lines(text: str):
@@ -251,6 +270,27 @@ def _content_lines(text: str):
         line = raw.split("#", 1)[0].strip()
         if line:
             yield lineno, line
+
+
+def parse_facts(text: str) -> dict[str, set[tuple[str, ...]]]:
+    """Parse ``PRED CONST ...`` lines into the rows of each predicate."""
+    facts: dict[str, set[tuple[str, ...]]] = {}
+    arities: dict[str, int] = {}
+    for lineno, line in _content_lines(text):
+        pred, *consts = line.split()
+        if not consts:
+            raise ParseError("a fact needs at least one constant", lineno)
+        fact = Atom(pred, tuple(consts))
+        _one_arity([fact], arities, lineno)
+        facts.setdefault(pred, set()).add(fact.args)
+    return facts
+
+
+def parse_ucq_over(text: str, facts: dict[str, set[tuple[str, ...]]]) -> UCQ:
+    """Parse a UCQ over ``facts``: a predicate keeps the arity of its facts."""
+    query = parse_ucq(text)
+    _one_arity(query.atoms(), {p: len(row) for p, rows in facts.items() for row in rows})
+    return query
 
 
 def parse_instance(text: str) -> ProblemInstance:
@@ -291,10 +331,13 @@ def parse_instance(text: str) -> ProblemInstance:
     if not map_lines:
         raise ParseError("instance declares no mappings")
 
-    mappings = tuple(
-        _parse_mapping(rest, kind, symbols, lineno) for lineno, rest in map_lines
-    )
-    return ProblemInstance(kind=kind, symbols=symbols, mappings=mappings, mode=mode)
+    mappings = []
+    for lineno, rest in map_lines:
+        src_text, arrow, tgt_text = rest.partition("~>")
+        if not arrow:
+            raise ParseError("a mapping needs '~>'", lineno)
+        mappings.append(Mapping(*parse_pair(kind, src_text, tgt_text, symbols, line=lineno)))
+    return ProblemInstance(kind=kind, symbols=symbols, mappings=tuple(mappings), mode=mode)
 
 
 def _parse_symbol_decl(decl: str, side: str, kind: str, lineno: int) -> SymbolId:
@@ -314,36 +357,35 @@ def _parse_symbol_decl(decl: str, side: str, kind: str, lineno: int) -> SymbolId
     return SymbolId(name=name, kind=side, arity=arity)
 
 
-def _parse_mapping(text: str, kind: str, symbols: dict[str, SymbolId], lineno: int) -> Mapping:
-    if "~>" not in text:
-        raise ParseError("a mapping needs '~>'", lineno)
-    src_text, _, tgt_text = text.partition("~>")
-    source_names = {n for n, s in symbols.items() if s.kind == "source"}
+def parse_pair(
+    kind: str, src_text: str, tgt_text: str, symbols: dict[str, SymbolId] | None = None,
+    *, line: int | None = None,
+) -> tuple[Query, Query]:
+    """Parse the two queries of a ``map`` line or of a containment question.
 
+    ``symbols`` holds the declared symbols, ``None`` accepts any.  The target
+    uses no source symbol.  Relational queries share their head arity and
+    each predicate's arity, and have one disjunct each in kind ``cq``.
+    """
+    texts = (src_text, tgt_text)
     if kind in PATH_KINDS:
-        two_way = kind == "2rpq"
-        src = parse_regex(src_text, set(symbols), two_way=two_way, line=lineno)
-        tgt = parse_regex(tgt_text, set(symbols), two_way=two_way, line=lineno)
-        _check_target_only(map(base_label, tgt.symbols()), source_names, lineno)
-        return Mapping(source=src, target=tgt)
-
-    schema = {n: s.arity for n, s in symbols.items()}
-    src = parse_ucq(src_text, schema, line=lineno)
-    tgt = parse_ucq(tgt_text, schema, line=lineno)
-    _check_target_only(sorted(tgt.predicates()), source_names, lineno)
-    if kind == "cq":
-        for q in (src, tgt):
-            if len(q.disjuncts) != 1:
-                raise ParseError("kind cq admits single-disjunct queries only", lineno)
-    if len(src.disjuncts[0].head) != len(tgt.disjuncts[0].head):
-        raise ParseError("source and target queries disagree on head arity", lineno)
-    return Mapping(source=src, target=tgt)
-
-
-def _check_target_only(names, source_names: set[str], lineno: int) -> None:
-    for name in names:
-        if name in source_names:
-            raise ParseError(f"source symbol {name!r} used in a target query", lineno)
+        alphabet = None if symbols is None else set(symbols)
+        src, tgt = (parse_regex(t, alphabet, two_way=kind == "2rpq", line=line) for t in texts)
+        used = map(base_label, tgt.symbols())
+    else:
+        schema = None if symbols is None else {n: s.arity for n, s in symbols.items()}
+        src, tgt = (parse_ucq(t, schema, line=line) for t in texts)
+        if schema is None:
+            _one_arity([*src.atoms(), *tgt.atoms()], {}, line)
+        used = sorted(tgt.predicates())
+    for name in used:
+        if symbols is not None and symbols[name].kind == "source":
+            raise ParseError(f"source symbol {name!r} used in a target query", line)
+    if kind == "cq" and any(len(q.disjuncts) != 1 for q in (src, tgt)):
+        raise ParseError("kind cq admits single-disjunct queries only", line)
+    if kind not in PATH_KINDS and src.arity != tgt.arity:
+        raise ParseError("source and target queries disagree on head arity", line)
+    return src, tgt
 
 
 # ---------------------------------------------------------------------------

@@ -398,6 +398,114 @@ def test_cli_fuzz_exits_with_a_documented_code(capsys, tmp_path):
     assert codes == {0, 1, 2, 3}
 
 
+def _draw_ucq(rng, arities, head_arity, max_disjuncts):
+    """A random UCQ; each disjunct reads ``arities`` (a predicate-to-arity
+    map) or, now and then, a copy with one predicate at another arity."""
+    from viewsynth.model import UCQ
+    from viewsynth.oracle import random_cq
+
+    disjuncts = []
+    for _ in range(rng.randint(1, max_disjuncts)):
+        schema = dict(arities)
+        if rng.random() < 0.2:
+            schema[rng.choice(sorted(schema))] = rng.randint(1, 3)
+        disjuncts.append(random_cq(rng, schema, head_arity, max_atoms=3, max_vars=3))
+    return UCQ(tuple(disjuncts))
+
+
+def _two_arities(facts, *queries) -> bool:
+    """Whether some predicate comes with two argument counts among ``facts``
+    (``(pred, row)`` pairs) and the atoms of ``queries``."""
+    atoms = [(a.pred, a.args) for q in queries for d in q.disjuncts for a in d.atoms]
+    uses = {(pred, len(args)) for pred, args in [*facts, *atoms]}
+    return len({pred for pred, _ in uses}) < len(uses)
+
+
+def test_cli_verdicts_agree_with_the_referees(capsys, tmp_path):
+    # contain, sound rpq synth and eval-ucq on drawn text, each against the
+    # brute-force referee; a predicate at two arities is an input error
+    import random
+
+    from viewsynth.errors import BudgetExceeded
+    from viewsynth.oracle import (
+        brute_view_existence_rpq, eval_ucq, nfa_contained_brute, random_regex,
+        random_rpq_instance, rel_instance, ucq_contained_canonical,
+    )
+
+    def call(*argv):
+        code = main(list(argv))  # an uncaught exception fails the test here
+        assert code in (0, 1, 2, 3), argv
+        return code, capsys.readouterr().out
+
+    rng = random.Random(16)
+    seen = dict.fromkeys(
+        ["rpq", "cq", "synth", "eval-ucq", "two arities", "synth verdicts", "skipped"], 0
+    )
+    for i in range(400):
+        command = rng.choice(["rpq", "cq", "synth", "eval-ucq"])
+        seen[command] += 1
+        if command == "rpq":
+            r1, r2 = (random_regex(rng, ["b1", "b2"], max_leaves=3) for _ in range(2))
+            code, _ = call("contain", "--kind", "rpq", r1.render(), r2.render())
+            assert code == (0 if nfa_contained_brute(compile_regex(r1), compile_regex(r2))
+                            else 1), (r1, r2)
+        elif command == "cq":
+            kind = rng.choice(["cq", "ucq"])
+            arities = {p: rng.randint(1, 2) for p in ("r", "s")}
+            heads = (1, 2 if rng.random() < 0.1 else 1)
+            q1, q2 = (_draw_ucq(rng, arities, h, 1 if kind == "cq" else 2) for h in heads)
+            code, out = call("contain", "--kind", kind, q1.render(), q2.render())
+            two_arities = _two_arities([], q1, q2)
+            seen["two arities"] += two_arities
+            if two_arities or q1.arity != q2.arity:
+                assert (code, out) == (2, ""), (q1, q2)
+            else:
+                assert code == (0 if ucq_contained_canonical(q1, q2) else 1), (q1, q2)
+        elif command == "synth":
+            inst = random_rpq_instance(rng, n_mappings=rng.randint(1, 2))
+            path = tmp_path / f"{i}.vs"
+            path.write_text(
+                f"kind rpq\nsource {' '.join(inst.source_names)}\n"
+                f"target {' '.join(inst.target_names)}\n"
+                + "".join(f"map {m.render()}\n" for m in inst.mappings),
+                encoding="utf-8",
+            )
+            code, _ = call("synth", "--mode", "sound", "--budget", "2000", str(path))
+            try:
+                outcome, _ = brute_view_existence_rpq(inst, budget=20_000)
+            except BudgetExceeded:
+                seen["skipped"] += 1
+                continue
+            if code in (0, 1):
+                seen["synth verdicts"] += 1
+                assert code == (0 if outcome == "found" else 1), inst
+        else:
+            arities = {p: rng.randint(1, 2) for p in ("r", "s")}
+            facts = [(p, tuple(str(rng.randrange(3)) for _ in range(arities[p])))
+                     for p in rng.choices(sorted(arities), k=rng.randint(1, 5))]
+            if rng.random() < 0.2:
+                facts.append(("r", tuple("0" * rng.choice([1, 2, 3]))))
+            lines = [f"{p} {' '.join(row)}" for p, row in facts]
+            lines.insert(rng.randrange(len(lines) + 1), rng.choice(["", "# a comment"]))
+            path = tmp_path / f"{i}.facts"
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            query = _draw_ucq(rng, arities, rng.randint(1, 2), 2)
+            code, out = call("oracle", "eval-ucq", "--format", "json", str(path), query.render())
+            if _two_arities(facts, query):
+                seen["two arities"] += 1
+                assert (code, out) == (2, ""), (facts, query)
+            else:
+                rows = {}
+                for p, row in facts:
+                    rows.setdefault(p, set()).add(row)
+                expected = sorted(eval_ucq(rel_instance(rows), query))
+                assert code == 0
+                assert json.loads(out)["tuples"] == [list(r) for r in expected], (facts, query)
+    assert min(seen[c] for c in ("rpq", "cq", "synth", "eval-ucq")) >= 80, seen
+    assert seen["two arities"] >= 30, seen
+    assert seen["skipped"] < seen["synth"] / 2 < seen["synth verdicts"], seen
+
+
 # --- check ------------------------------------------------------------------------
 
 def test_check_good_views(capsys):
@@ -485,6 +593,19 @@ def test_contain_predicate_at_two_arities_is_input_error(capsys, kind, q1, q2):
     assert "predicate 'r' used with arities" in err
 
 
+@pytest.mark.parametrize("q1, q2, message", [
+    ("q(x) :- r(x) ; q(x) :- s(x)", "q(x) :- r(x)", "kind cq admits single-disjunct queries only"),
+    ("q(x) :- r(x)", "q(x,y) :- r(x), r(y)", "source and target queries disagree on head arity"),
+], ids=["single-disjunct", "head-arity"])
+def test_contain_and_a_map_line_give_one_message(capsys, tmp_path, q1, q2, message):
+    code, out, err = run(capsys, "contain", "--kind", "cq", q1, q2)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    path = tmp_path / "inst.vs"
+    path.write_text(f"kind cq\nsource a/1\ntarget r/1 s/1\nmap {q1} ~> {q2}\n", encoding="utf-8")
+    code, out, err = run(capsys, "synth", str(path))
+    assert (code, out, err) == (2, "", f"error: line 4: {message}\n")
+
+
 # --- monoid -----------------------------------------------------------------------
 
 def test_monoid_dot_dumps_before_the_cap_stops_the_build(capsys, tmp_path):
@@ -555,6 +676,21 @@ def test_oracle_eval_ucq(capsys):
     )
     assert code == 0
     assert "1 3" in out
+
+
+@pytest.mark.parametrize("facts, query, where", [
+    ("r a b\nr a\n", "q(x) :- r(x,y)", "line 2: "),
+    ("r a b\n", "q(x) :- r(x)", ""),
+    ("r a b\n", "q(x) :- r(x), r(x,y)", ""),
+], ids=["facts", "query-against-facts", "within-the-query"])
+def test_oracle_eval_ucq_predicate_at_two_arities_is_input_error(
+    capsys, tmp_path, facts, query, where
+):
+    path = tmp_path / "facts.txt"
+    path.write_text(facts, encoding="utf-8")
+    code, out, err = run(capsys, "oracle", "eval-ucq", str(path), query)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {where}predicate 'r' used with arities ")
 
 
 def test_oracle_brute_exists(capsys):

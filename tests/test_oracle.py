@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from viewsynth.errors import InputError
+from viewsynth.errors import InputError, ParseError
 from viewsynth.model import EPS
 from viewsynth.parser import parse_cq, parse_instance, parse_regex, parse_ucq
 from viewsynth.automata import compile_regex
@@ -47,6 +47,13 @@ def test_parse_graph_format():
 def test_parse_graph_rejects_garbage():
     with pytest.raises(Exception, match="node -label-> node"):
         parse_graph("x b1 y")
+
+
+@pytest.mark.parametrize("bad", ["x b1 y", "x -> y", "x -b1->", "-b1-> y", "x --> y"])
+def test_parse_graph_error_carries_its_line(bad):
+    with pytest.raises(ParseError, match="^line 3: expected 'node -label-> node'$") as info:
+        parse_graph(f"x -b1-> y\n# {bad}\n{bad}\n")
+    assert info.value.line == 3
 
 
 # --- eval_rpq ----------------------------------------------------------------------
@@ -278,11 +285,12 @@ def test_random_instance_generator_is_seeded():
 
 def test_oracle_imports_only_the_shared_data_types():
     # the referee stays independent of the engine it referees: besides the
-    # standard library it reads only errors, the model, and from automata
-    # the NWA type with regex compilation and epsilon elimination
+    # standard library it reads only errors, the model, from automata the
+    # NWA type with regex compilation and epsilon elimination, and from the
+    # parser the comment- and blank-line reader its graph format shares
     source = Path(__file__).resolve().parent.parent / "src" / "viewsynth" / "oracle.py"
     tree = ast.parse(source.read_text(encoding="utf-8"))
-    allowed = {"errors": None, "model": None,
+    allowed = {"errors": None, "model": None, "parser": {"_content_lines"},
                "automata": {"NWA", "compile_regex", "eliminate_epsilon"}}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):

@@ -6,6 +6,7 @@ from viewsynth.errors import ParseError
 from viewsynth.model import CQ, RAlt, RCat, REps, RSym, UCQ
 from viewsynth.parser import (
     parse_cq,
+    parse_facts,
     parse_instance,
     parse_regex,
     parse_ucq,
@@ -95,6 +96,8 @@ CQ_HEAD = "kind cq\nsource a/2\ntarget r/2\n"
             "source and target queries disagree on head arity",
             4,
         ),
+        (CQ_HEAD + "map q(x) :- a(y,y) ~> q(x) :- r(x,x)\n", None,
+         "head variable x does not occur in any atom", 4),
         (SEC6_SOUND, "view a1 b1\n", "a view line reads 'view NAME = QUERY'", 1),
         (SEC6_SOUND, "view a1 = b1\nview a1 = b2\n", "view for 'a1' defined twice", 2),
         (CHAIN_CQ, "view a = q(x) :- r(x,y)\n", "view head arity 1 does not match a/2", 1),
@@ -177,3 +180,27 @@ def test_mode_line_in_instance_file():
     assert inst.mode == "exact"
     with pytest.raises(ParseError, match="mode"):
         parse_instance("kind rpq\nmode fancy\nsource a\ntarget b\nmap a ~> b\n")
+
+
+def test_parse_facts_skips_comments_and_blank_lines():
+    facts = parse_facts("# a database\nr 1 2  # an edge\n\n   \ns 2\nr 1 2\n")
+    assert facts == {"r": {("1", "2")}, "s": {("2",)}}
+
+
+@pytest.mark.parametrize("text, message, line", [
+    ("r 1 2\n\nr\n", "a fact needs at least one constant", 3),
+    ("r 1 2\n# r 1\nr 1\n", "predicate 'r' used with arities 2 and 1", 3),
+])
+def test_parse_facts_error_names_its_line(text, message, line):
+    with pytest.raises(ParseError, match=re.escape(message)) as info:
+        parse_facts(text)
+    assert info.value.line == line
+
+
+@pytest.mark.parametrize("text", [
+    "q(x) :- r(x), r(x,y)",
+    "q(x) :- r(x) ; q(x) :- r(x,x)",
+])
+def test_ucq_without_schema_keeps_one_arity_per_predicate(text):
+    with pytest.raises(ParseError, match="predicate 'r' used with arities 1 and 2"):
+        parse_ucq(text)
