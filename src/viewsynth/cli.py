@@ -263,6 +263,8 @@ def cmd_contain(args) -> int:
     q1, q2 = parse_pair(args.kind, args.q1, args.q2)
     witness = None
     if args.kind in ("cq", "ucq"):
+        if args.dot:
+            raise InputError("--dot dumps the automata of path queries only")
         holds = ucq_contains(q1, q2)
     else:
         a1, a2 = compile_regex(q1), compile_regex(q2)

@@ -6,7 +6,23 @@ never needs more atoms than the sum, over the mappings, of the size of each
 target's largest disjunct, more disjuncts than the total target disjunct
 count, or more variables than its atoms can mention.  A body is kept only
 if it is its own canonical form: its existentials are exactly e0..e(k-1)
-and no renaming of them gives a smaller sorted tuple of atoms.
+and no renaming of them gives a smaller sorted tuple of atoms.  The
+candidates of one atom count form a layer, sorted by ``render()``; the
+search takes the layers in order of atom count and builds each only when
+it first reaches it.
+
+**The bottom view.** For head arity n, K*ₙ is ``q(h0,…,h0)`` with every
+target predicate applied to ``h0`` alone.  Every CQ or UCQ view V of
+arity n contains K*ₙ: mapping all of V's variables to ``h0`` is a
+containment mapping (Chandra and Merlin, STOC 1977).  Unfolding is
+monotone, so replacing V by K*ₙ shrinks the substituted source, and
+nonemptiness depends only on which views are defined.  So if views capture
+soundly, so do the views that keep some symbols' views and replace each
+other defined view by K*.  An assignment to the first symbols therefore
+extends to a sound (and so to any exact) solution only if some completion
+of the rest by {undefined, K*} captures soundly: 2^(unassigned) checks.
+Without a target predicate of positive arity K* is unsafe, and the rest
+complete as undefined only.
 """
 
 from __future__ import annotations
@@ -23,8 +39,7 @@ DEFAULT_CQ_BUDGET = 1_000_000
 
 Hom = dict[str, str]
 
-CqView = "CQ | UCQ | None"  # None marks an undefined (unassigned) view
-CqViews = dict[str, "CQ | UCQ | None"]
+CqViews = dict[str, "CQ | UCQ | None"]  # None marks an undefined view
 
 
 # ---------------------------------------------------------------------------
@@ -218,17 +233,22 @@ def _head_patterns(arity: int) -> list[tuple[str, ...]]:
 def enumerate_view_candidates(
     arity: int,
     target_schema: dict[str, int],
-    bounds: SynthesisBounds,
+    n_atoms: int,
     keep,
 ) -> list[CQ]:
-    """The canonical candidate CQ views for one source predicate that pass
-    ``keep``.  Each distinct candidate meets ``keep`` once, as soon as it is
-    built, so a filter that spends a budget stops the enumeration too."""
+    """The canonical candidate CQ views with ``n_atoms`` atoms for one source
+    predicate that pass ``keep``, sorted by ``render()``.  Each distinct
+    candidate meets ``keep`` once, as soon as it is built, so a filter that
+    spends a budget stops the enumeration too.
+
+    ``n_atoms`` atoms mention at most ``n_atoms`` times the largest target
+    arity variables, head variables included, so that bounds the pool of
+    existentials; each layer needs no more."""
     max_arity = max(target_schema.values(), default=2)
     kept: list[CQ] = []
     for head in _head_patterns(arity):
         head_vars = sorted(set(head))
-        n_exist = max(0, bounds.atom_bound * max_arity - len(head_vars))
+        n_exist = max(0, n_atoms * max_arity - len(head_vars))
         pool = head_vars + [f"e{i}" for i in range(n_exist)]
         universe = sorted(
             Atom(pred, args)
@@ -239,20 +259,19 @@ def enumerate_view_candidates(
         masks = [sum({1 << pool.index(v) for v in a.args}) for a in universe]
         n_head, head_bits = len(head_vars), (1 << len(head_vars)) - 1
         names = [sorted(pool[n_head:n_head + k]) for k in range(n_exist + 1)]
-        for n_atoms in range(1, bounds.atom_bound + 1):
-            for body in itertools.combinations(range(len(universe)), n_atoms):
-                mask = 0
-                for i in body:
-                    mask |= masks[i]
-                em = mask >> n_head
-                # skip unsafe bodies and those whose existentials are not e0..e(k-1)
-                if ~mask & head_bits or em & (em + 1):
-                    continue
-                if _least_relabelling(body, universe, index, head, names[em.bit_length()]):
-                    view = CQ(head, tuple(universe[i] for i in body))
-                    if keep(view):
-                        kept.append(view)
-    return sorted(kept, key=lambda c: (len(c.atoms), c.render()))
+        for body in itertools.combinations(range(len(universe)), n_atoms):
+            mask = 0
+            for i in body:
+                mask |= masks[i]
+            em = mask >> n_head
+            # skip unsafe bodies and those whose existentials are not e0..e(k-1)
+            if ~mask & head_bits or em & (em + 1):
+                continue
+            if _least_relabelling(body, universe, index, head, names[em.bit_length()]):
+                view = CQ(head, tuple(universe[i] for i in body))
+                if keep(view):
+                    kept.append(view)
+    return sorted(kept, key=CQ.render)
 
 
 def _least_relabelling(body: tuple[int, ...], universe, index, head, names) -> bool:
@@ -317,14 +336,25 @@ def synthesize_cq(
 ) -> SynthesisReport:
     """Search candidate views in canonical order; first passing wins.
 
-    ``view_kind`` selects single-CQ or UCQ views.  The search per symbol
-    starts from the undefined view, then candidates that are locally sound
-    (containment holds with all other symbols undefined; a violation there
-    survives any extension, so the filter is lossless), then, for UCQ views,
-    unions of those candidates.  A union with one disjunct contained in
-    another is skipped: it equals the smaller union without that disjunct,
-    which comes earlier and passes the same checks.  With ``find_all`` every
-    passing assignment is collected, subject to the budget.
+    ``view_kind`` selects single-CQ or UCQ views.  Each symbol's options are
+    the undefined view, then its candidates in order of atom count and then
+    of ``render()``, then, for UCQ views, unions of those candidates.  A
+    candidate is kept only if it is locally sound (containment holds with
+    all other symbols undefined; a violation there survives any extension,
+    so the filter is lossless).  An atom-count layer is built only when the
+    search first reaches it and is kept for its later passes; the unions
+    are built from the complete list of single candidates.  A union with
+    one disjunct contained in another is skipped: it equals the smaller
+    union without that disjunct, which comes earlier and passes the same
+    checks.  With ``find_all`` every passing assignment is collected,
+    subject to the budget.
+
+    The search extends an assignment to the first symbols only while some
+    completion of the others by the undefined view or the bottom view K*
+    captures soundly, and answers not-found at once when no such completion
+    of the empty assignment does (see the module docstring).  Sound capture
+    is needed in exact mode and by ``find_all`` too, so that prune loses
+    nothing in any mode.
 
     Sound mode without ``find_all`` never builds unions: a capturing UCQ
     view thins to any one of its disjuncts and still captures.  Sound
@@ -333,6 +363,10 @@ def synthesize_cq(
     on which views are defined.  That disjunct comes before every union in
     the option order, so even a search with unions finds a union-free first
     solution.  Exact existence genuinely differs between the two kinds.
+
+    ``budget`` bounds the checks the search makes: one per mapping in each
+    keep or prune test, and one per full assignment it decides.  Candidates
+    a layer skips unbuilt, and layers the search never reaches, cost nothing.
     """
     if instance.kind not in ("cq", "ucq"):
         raise InputError(f"synthesize_cq supports cq/ucq instances, not {instance.kind}")
@@ -350,13 +384,30 @@ def synthesize_cq(
         if stats.checks > budget:
             raise BudgetExceeded("candidate view search", budget)
 
-    def sound_prefix_ok(partial: CqViews) -> bool:
-        views = {sym: partial.get(sym) for sym in occurring}
+    def sound(views: CqViews, nonempty: bool) -> bool:
+        """Containment (and, if asked, nonemptiness) for every mapping;
+        symbols missing from ``views`` are undefined."""
         for m in instance.mappings:
             spend()
-            if not ucq_contains(cq_substitute(m.source, views, source_preds), m.target):
+            distributed = cq_substitute(m.source, views, source_preds)
+            if (nonempty and not distributed) or not ucq_contains(distributed, m.target):
                 return False
         return True
+
+    # K* needs a target atom of positive arity to be safe; without one a
+    # symbol completes as undefined only
+    safe = any(target_schema.values())
+    completions = {
+        sym: [None, _bottom_view(instance.symbols[sym].arity, target_schema)] if safe else [None]
+        for sym in occurring
+    }
+
+    def bottom_completes(partial: CqViews) -> bool:
+        rest = [sym for sym in occurring if sym not in partial]
+        return any(
+            sound({**partial, **dict(zip(rest, choice))}, nonempty=True)
+            for choice in itertools.product(*(completions[sym] for sym in rest))
+        )
 
     def accept(partial: CqViews):
         spend()
@@ -364,28 +415,34 @@ def synthesize_cq(
         result = capture_check_cq(instance, assignment, mode)
         return (assignment, result) if result.ok else None
 
-    # per-symbol candidates, locally filtered
-    options: dict[str, list[CqView]] = {}
-    for sym in occurring:
-        plausible = enumerate_view_candidates(
-            instance.symbols[sym].arity,
-            target_schema,
-            bounds,
-            lambda view: sound_prefix_ok({sym: view}),
-        )
-        opts: list[CqView] = [None, *plausible]
+    def layers(sym: str):
+        arity = instance.symbols[sym].arity
+
+        def keep(view) -> bool:  # locally sound
+            return sound({sym: view}, nonempty=False)
+
+        yield [None]
+        singles: list[CQ] = []
+        for n_atoms in range(1, bounds.atom_bound + 1):
+            layer = enumerate_view_candidates(arity, target_schema, n_atoms, keep)
+            singles += layer
+            yield layer
         if view_kind == "ucq" and (mode == "exact" or find_all):
+            unions: list[UCQ] = []
             for size in range(2, bounds.disjunct_bound + 1):
-                for combo in itertools.combinations(plausible, size):
+                for combo in itertools.combinations(singles, size):
                     if any(cq_contained(a, b) for a, b in itertools.permutations(combo, 2)):
                         continue
                     view = UCQ(combo)
-                    if sound_prefix_ok({sym: view}):
-                        opts.append(view)
-        options[sym] = opts
-        stats.candidates_per_symbol[sym] = len(opts)
+                    if keep(view):
+                        unions.append(view)
+            yield unions
 
-    solutions = search(occurring, options.get, sound_prefix_ok, accept, find_all)
+    options = {sym: _Options(layers(sym)) for sym in occurring}
+    solutions = []
+    if bottom_completes({}):
+        solutions = search(occurring, options.get, bottom_completes, accept, find_all)
+    stats.candidates_per_symbol = {sym: opts.n_built for sym, opts in options.items()}
     if not solutions:
         return SynthesisReport("not-found", None, None, stats, bounds=bounds)
     assignment, result = solutions[0]
@@ -393,3 +450,32 @@ def synthesize_cq(
     if find_all:
         report.all_views = [views for views, _ in solutions]
     return report
+
+
+def _bottom_view(arity: int, target_schema: dict[str, int]) -> CQ:
+    """K*: one head variable repeated, and every target predicate on it alone."""
+    atoms = tuple(Atom(pred, ("h0",) * n) for pred, n in sorted(target_schema.items()))
+    return CQ(("h0",) * arity, atoms)
+
+
+class _Options:
+    """One symbol's options, drawn from an iterator of layers.  A layer is
+    built when an iteration first reaches it and kept for later ones, since
+    the search iterates a later symbol's options once per prefix."""
+
+    def __init__(self, layers):
+        self._layers = layers
+        self._built: list[list] = []
+
+    @property
+    def n_built(self) -> int:
+        return sum(map(len, self._built))
+
+    def __iter__(self):
+        for i in itertools.count():
+            if i == len(self._built):
+                layer = next(self._layers, None)
+                if layer is None:
+                    return
+                self._built.append(layer)
+            yield from self._built[i]

@@ -201,6 +201,8 @@ def parse_ucq(
         if part.strip() == "":
             raise ParseError("empty disjunct", line)
         disjuncts.append(parse_cq(part, schema, line=line))
+    if len({len(d.head) for d in disjuncts}) != 1:
+        raise ParseError("UCQ disjuncts disagree on head arity", line)
     ucq = UCQ(tuple(disjuncts))
     if schema is None:
         _one_arity(ucq.atoms(), {}, line)

@@ -13,10 +13,12 @@ def search(symbols, options, prefix_ok, accept, find_all: bool) -> list:
     ``options(symbol)`` in their canonical order, so it meets full
     assignments in lexicographic canonical order and never meets one twice.
     An assignment to the first symbols is extended only while
-    ``prefix_ok(partial)`` holds, the unassigned symbols having no view.
-    That prune is lossless because sound containment is antitone in the
-    views: growing a view only adds to the substituted source, so a
-    violation with the unassigned symbols empty persists in every extension.
+    ``prefix_ok(partial)`` holds, which must hold for every prefix of an
+    accepted assignment.  The path search checks containment with the
+    unassigned symbols having no view, which is lossless because sound
+    containment is antitone in the views: growing a view only adds to the
+    substituted source.  The relational search checks completions by its
+    bottom view (``cq_synth``).
     ``accept(assignment)`` returns the solution to report for a full
     assignment, or ``None``; the assignment is the search's own dict, so a
     solution must copy it.

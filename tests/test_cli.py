@@ -189,6 +189,18 @@ def test_synth_dot_on_cq_instance_is_input_error(capsys, tmp_path):
     assert not outdir.exists()
 
 
+@pytest.mark.parametrize("kind", ["cq", "ucq"])
+def test_contain_dot_on_relational_queries_is_input_error(capsys, tmp_path, kind):
+    outdir = tmp_path / "dots"
+    code, out, err = run(
+        capsys, "contain", "--kind", kind, "--dot", str(outdir), "q(x) :- r(x)", "q(x) :- r(x)"
+    )
+    assert code == 2
+    assert "--dot" in err
+    assert out == ""
+    assert not outdir.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

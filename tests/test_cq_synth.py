@@ -1,10 +1,14 @@
 import itertools
+import json
+import math
 import random
+from collections import Counter
 
 import pytest
 
 from viewsynth.errors import BudgetExceeded, InputError
-from viewsynth.model import Atom, CQ, UCQ
+from viewsynth.cli import main
+from viewsynth.model import Atom, CQ, Mapping, ProblemInstance, SymbolId, UCQ
 from viewsynth.parser import parse_cq, parse_instance, parse_ucq
 from viewsynth import cq_synth
 from viewsynth.cq_synth import (
@@ -18,6 +22,7 @@ from viewsynth.cq_synth import (
     ucq_contains,
 )
 from viewsynth.oracle import (
+    brute_view_candidates,
     cq_contained_canonical,
     eval_cq,
     eval_ucq,
@@ -180,9 +185,18 @@ def test_bounds_for_chain(chain_cq):
     assert bounds.variable_bound == 2 + 2 * 2
 
 
+def all_layers(arity, schema, atom_bound, keep):
+    """The candidate layers 1..atom_bound in the search's order."""
+    return [
+        view
+        for n_atoms in range(1, atom_bound + 1)
+        for view in enumerate_view_candidates(arity, schema, n_atoms, keep)
+    ]
+
+
 def test_candidates_are_canonical_and_deduplicated(chain_cq):
     bounds = bounds_for(chain_cq)
-    candidates = enumerate_view_candidates(2, {"r": 2, "s": 2}, bounds, lambda view: True)
+    candidates = all_layers(2, {"r": 2, "s": 2}, bounds.atom_bound, lambda view: True)
     assert len(candidates) == len(set(candidates))
     rendered = {c.render() for c in candidates}
     assert "q(h0,h1) :- r(h0,e0), s(e0,h1)" in rendered
@@ -214,11 +228,50 @@ def test_budget_stops_candidate_enumeration(monkeypatch):
     assert 0 < calls < 1_000
 
 
+TERNARY = (
+    "kind cq\nsource a/2\ntarget t/3\n"
+    "map q(x,y) :- a(x,y) ~> q(x,y) :- t(x,y,z), t(y,z,x), t(z,x,y)\n"
+)
+
+
+def test_ternary_three_atom_target_is_answered_under_the_default_budget():
+    # the whole enumeration walks C(729, 3) bodies per head pattern; the
+    # search needs only the first layer, whose first sound view is K*
+    report = synthesize_cq(parse_instance(TERNARY), "sound")
+    assert report.found
+    assert report.views["a"].render() == "q(h0,h0) :- t(h0,h0,h0)"
+    assert report.stats.checks < 100
+
+
+def test_not_found_is_answered_before_any_candidate_is_built(monkeypatch):
+    # no assignment from {undefined, K*} captures: a view of a can only
+    # relate x to itself, and the target needs r from x to y
+    inst = parse_instance(
+        "kind cq\nsource a/2\ntarget r/2 s/2\n"
+        "map q(x,y) :- a(x,x), s(x,y) ~> q(x,y) :- r(x,y)\n"
+    )
+    calls = 0
+    enumerate_layer = cq_synth.enumerate_view_candidates
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return enumerate_layer(*args)
+
+    monkeypatch.setattr(cq_synth, "enumerate_view_candidates", counted)
+    for mode in ("sound", "exact"):
+        for view_kind in ("cq", "ucq"):
+            report = synthesize_cq(inst, mode, view_kind)
+            assert report.outcome == "not-found"
+            assert report.stats.candidates_per_symbol == {"a": 0}
+    assert calls == 0
+
+
 def test_three_atom_enumeration_count():
     inst = parse_instance(THREE_ATOM)
     bounds = bounds_for(inst)
     assert bounds.atom_bound == 3
-    candidates = enumerate_view_candidates(2, {"r": 2, "s": 2}, bounds, lambda view: True)
+    candidates = all_layers(2, {"r": 2, "s": 2}, bounds.atom_bound, lambda view: True)
     assert len(candidates) == 3_311
 
 
@@ -349,6 +402,140 @@ def test_listed_unions_have_no_disjunct_contained_in_another():
                         assert not any(cq_contained(a, b) for a, b in pairs), view.render()
     assert len(synthesize_cq(found, "sound", view_kind="ucq", find_all=True).all_views) == 8
     assert unions >= 100
+
+
+# --- the search against a brute-force product --------------------------------------
+
+def _small_ucq_instance(rng) -> ProblemInstance:
+    """One mapping between UCQs of head arity 1 or 2; sources of arity 1 or 2
+    and, now and then, target predicates in the source query."""
+    src = {f"a{i}": rng.randint(1, 2) for i in range(rng.randint(1, 2))}
+    tgt = {"r": 2, **({"s": 1} if rng.random() < 0.5 else {})}
+    head = rng.randint(1, 2)
+
+    def query(schema):
+        return UCQ(tuple(
+            random_cq(rng, schema, head, max_atoms=2, max_vars=3)
+            for _ in range(rng.randint(1, 2))
+        ))
+
+    source = query({**src, **(tgt if rng.random() < 0.3 else {})})
+    symbols = {n: SymbolId(n, "source", a) for n, a in src.items()}
+    symbols.update({n: SymbolId(n, "target", a) for n, a in tgt.items()})
+    return ProblemInstance("ucq", symbols, (Mapping(source, query(tgt)),))
+
+
+PRODUCT_CAP = 800  # reference assignments per request
+
+
+def _referee_candidates(inst) -> dict:
+    """Per symbol, the referee's candidates whose containment holds with every
+    other view undefined; the others fail in every assignment, because
+    defining more views only adds disjuncts."""
+    bounds = bounds_for(inst)
+    occurring = inst.occurring_source_symbols()
+    schema = {n: inst.symbols[n].arity for n in inst.target_names}
+
+    def locally_sound(sym, view):
+        views = {**dict.fromkeys(occurring), sym: view}
+        return all(c.contained for c in capture_check_cq(inst, views, "sound").per_mapping)
+
+    return {
+        sym: brute_view_candidates(
+            inst.symbols[sym].arity, schema, bounds.atom_bound, lambda v: locally_sound(sym, v)
+        )
+        for sym in occurring
+    }
+
+
+def _reference(inst, candidates, mode, view_kind, find_all):
+    """The capturing assignments of ``itertools.product`` over ``[None]`` and
+    each symbol's ``candidates`` (and, for union views, all their unions
+    within the disjunct bound), in that order; only the first unless
+    ``find_all``.  None when the product exceeds ``PRODUCT_CAP``."""
+    disjunct_bound = bounds_for(inst).disjunct_bound
+    options = []
+    for singles in candidates.values():
+        unions = []
+        if view_kind == "ucq":
+            unions = [
+                UCQ(combo)
+                for size in range(2, disjunct_bound + 1)
+                for combo in itertools.combinations(singles, size)
+            ]
+        options.append([None, *singles, *unions])
+    if math.prod(map(len, options)) > PRODUCT_CAP:
+        return None
+    found = []
+    for choice in itertools.product(*options):
+        views = dict(zip(candidates, choice))
+        if capture_check_cq(inst, views, mode).ok:
+            found.append(views)
+            if not find_all:
+                break
+    return found
+
+
+def _bottom_captures(inst) -> bool:
+    """Some assignment of the undefined view or K* to each symbol captures soundly."""
+    body = tuple(Atom(p, ("h0",) * inst.symbols[p].arity) for p in sorted(inst.target_names))
+    occurring = inst.occurring_source_symbols()
+    completions = [[None, CQ(("h0",) * inst.symbols[sym].arity, body)] for sym in occurring]
+    return any(
+        capture_check_cq(inst, dict(zip(occurring, choice)), "sound").ok
+        for choice in itertools.product(*completions)
+    )
+
+
+def _instance_text(inst) -> str:
+    def decl(names):
+        return " ".join(f"{n}/{inst.symbols[n].arity}" for n in names)
+
+    lines = [f"kind {inst.kind}", f"source {decl(inst.source_names)}",
+             f"target {decl(inst.target_names)}", *(f"map {m.render()}" for m in inst.mappings)]
+    return "\n".join(lines) + "\n"
+
+
+def test_search_agrees_with_the_brute_force_product(tmp_path, capsys):
+    requests = [(m, k, False) for m in ("sound", "exact") for k in ("cq", "ucq")]
+    requests += [("sound", "cq", True), ("exact", "cq", True)]
+    rng = random.Random(17)
+    seen = Counter()
+    for i in range(50):
+        inst = _small_ucq_instance(rng)
+        candidates = _referee_candidates(inst)
+        for mode, view_kind, find_all in requests:
+            want = _reference(inst, candidates, mode, view_kind, find_all)
+            if want is None:
+                seen["skipped"] += 1
+                continue
+            report = synthesize_cq(inst, mode, view_kind, find_all=find_all)
+            case = (i, mode, view_kind, find_all)
+            assert report.views == (want[0] if want else None), case
+            if find_all:
+                assert (report.all_views or []) == want, case
+            seen[mode, report.outcome] += 1
+        # the bounded search finds sound views iff the bottom views do
+        assert synthesize_cq(inst, "sound").found == _bottom_captures(inst), i
+        if i % 6 == 0:
+            path = tmp_path / f"{i}.vs"
+            path.write_text(_instance_text(inst), encoding="utf-8")
+            for mode, view_kind in (("sound", "cq"), ("exact", "ucq")):
+                want = _reference(inst, candidates, mode, view_kind, False)
+                if want is None:
+                    continue
+                code = main(["synth", "--mode", mode, "--view-kind", view_kind,
+                             "--format", "json", str(path)])
+                out = json.loads(capsys.readouterr().out)
+                assert code == (0 if want else 1), (i, mode, view_kind)
+                assert out["views"] == (
+                    {s: v.render() if v else "undefined" for s, v in sorted(want[0].items())}
+                    if want else None
+                ), (i, mode, view_kind)
+                seen["cli"] += 1
+    # 300 requests: at most a tenth too large for the reference
+    assert seen["skipped"] <= 30 and seen["cli"] >= 12, seen
+    assert min(seen[m, o] for m in ("sound", "exact") for o in ("found", "not-found")) >= 20, seen
 
 
 def test_found_views_verified_semantically(chain_cq):

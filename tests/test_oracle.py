@@ -206,7 +206,7 @@ def test_brute_rejects_relational_kind():
 def test_view_candidates_agree_with_the_permutation_referee():
     # seeded (head arity, target schema, atom bound) draws, each lowered to a
     # bound at which the referee's body count stays small
-    from viewsynth.cq_synth import SynthesisBounds, enumerate_view_candidates
+    from viewsynth.cq_synth import enumerate_view_candidates
 
     def bodies(schema, atom_bound):
         pool = atom_bound * max(schema.values())
@@ -224,7 +224,6 @@ def test_view_candidates_agree_with_the_permutation_referee():
             atom_bound -= 1
         covered |= {("head", arity), ("bound", atom_bound)}
         covered |= {("pred", a) for a in schema.values()}
-        bounds = SynthesisBounds(atom_bound, 1, 0)
         case = (seed, arity, schema, atom_bound)
         everything = brute_view_candidates(arity, schema, atom_bound, lambda view: True)
         for keep in (lambda view: True, lambda view: "r" in view.predicates()):
@@ -234,7 +233,11 @@ def test_view_candidates_agree_with_the_permutation_referee():
                 offered.append(view)
                 return keep(view)
 
-            got = enumerate_view_candidates(arity, schema, bounds, counted)
+            got = [
+                view
+                for n_atoms in range(1, atom_bound + 1)
+                for view in enumerate_view_candidates(arity, schema, n_atoms, counted)
+            ]
             assert got == brute_view_candidates(arity, schema, atom_bound, keep), case
             # keep meets each distinct view once
             offered.sort(key=lambda c: (len(c.atoms), c.render()))

@@ -101,6 +101,19 @@ CQ_HEAD = "kind cq\nsource a/2\ntarget r/2\n"
         (SEC6_SOUND, "view a1 b1\n", "a view line reads 'view NAME = QUERY'", 1),
         (SEC6_SOUND, "view a1 = b1\nview a1 = b2\n", "view for 'a1' defined twice", 2),
         (CHAIN_CQ, "view a = q(x) :- r(x,y)\n", "view head arity 1 does not match a/2", 1),
+        (
+            "kind ucq\nsource a/1\ntarget r/1\n"
+            "map q(x) :- a(x) ~> q(x) :- r(x) ; q(x,y) :- r(x), r(y)\n",
+            None,
+            "UCQ disjuncts disagree on head arity",
+            4,
+        ),
+        (
+            CHAIN_CQ,
+            "# views\nview a = q(x,y) :- r(x,y) ; q(x) :- r(x,x)\n",
+            "UCQ disjuncts disagree on head arity",
+            2,
+        ),
     ],
 )
 def test_parse_error_names_the_problem_and_its_line(instance, views, message, line):
