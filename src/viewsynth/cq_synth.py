@@ -413,7 +413,7 @@ def synthesize_cq(
         spend()
         assignment = dict(partial)
         result = capture_check_cq(instance, assignment, mode)
-        return (assignment, result) if result.ok else None
+        return None, (assignment, result) if result.ok else None
 
     def layers(sym: str):
         arity = instance.symbols[sym].arity
@@ -441,7 +441,9 @@ def synthesize_cq(
     options = {sym: _Options(layers(sym)) for sym in occurring}
     solutions = []
     if bottom_completes({}):
-        solutions = search(occurring, options.get, bottom_completes, accept, find_all)
+        solutions = search(
+            occurring, options.get, lambda p: (None, bottom_completes(p)), accept, find_all
+        )
     stats.candidates_per_symbol = {sym: opts.n_built for sym, opts in options.items()}
     if not solutions:
         return SynthesisReport("not-found", None, None, stats, bounds=bounds)

@@ -11,11 +11,16 @@ The search decides each candidate in the monoid (:class:`_ClassCapture`):
 nonemptiness and sound containment follow from the relations the classes
 induce on the target automaton.  Automata are built only for exact mode's
 reverse containment of the candidates that pass, and for the final report.
+Sound containment is antitone in the views and nonemptiness depends only
+on which views are empty, while reverse containment only grows with them
+(Calvanese et al., PODS 1999).  So a symbol's unions are walked level by
+level as in Apriori (Agrawal and Srikant, VLDB 1994), losing no solution.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import time
 
 from .errors import BudgetExceeded, InputError
@@ -177,6 +182,7 @@ class _ClassCapture:
         a_s = checker.a_s
         self.source_initials = a_s.initials
         self.source_finals = a_s.finals
+        self.symbols = a_s.labels_present() & checker.source_syms
         # per source state: (source symbol, None, q) or (None, rows, q)
         label_rows = {
             x: relation_of_word(m, (x,)) for x in a_s.labels_present() - checker.source_syms
@@ -222,7 +228,7 @@ class _ClassCapture:
 # ---------------------------------------------------------------------------
 
 class _Engine:
-    """Search context shared by synthesis and maximization."""
+    """Search context and counters shared by synthesis and maximization."""
 
     def __init__(
         self,
@@ -248,34 +254,65 @@ class _Engine:
             _ClassCapture(c, m, self.monoid, t, offset)
             for c, t, offset in zip(self.checkers, targets, offsets)
         ]
+        self.stats = SearchStats(mode=mode, monoid_size=len(self.monoid.elements))
 
-    def assignment_ok(self, views: ClassViews) -> bool:
-        """Nonempty and sound capture, decided in the monoid; in exact mode
-        the survivors' reverse containment is then decided with automata.
-        A symbol without a view has the empty view."""
-        if not all(cc.capture(views) == (True, True) for cc in self.class_checks):
-            return False
-        if self.mode == "exact":
-            full = {sym: views.get(sym, frozenset()) for sym in self.occurring}
+    def verdict(self, views: ClassViews, depth: int = -1) -> tuple[bool, bool, bool]:
+        """(contained, stays, nonempty) of the views of the first ``depth + 1``
+        symbols, a missing view being empty.  ``stays``: a larger view of the
+        last may still capture.  Containment is antitone, and once that view
+        is nonempty, growing it leaves empty a rewriting of assigned symbols."""
+        grown = depth >= 0 and bool(views.get(self.occurring[depth]))
+        stays = nonempty = True
+        for cc in self.class_checks:
+            some, contained = cc.capture(views)
+            if not contained:
+                return False, False, False
+            nonempty = nonempty and some
+            stays = stays and (some or not grown or not cc.symbols <= views.keys())
+        return True, stays, nonempty
+
+    def assignment_ok(self, views: ClassViews) -> tuple[bool, bool]:
+        """(stays, captures) by :meth:`verdict` and reverse automata checks."""
+        full = {sym: views.get(sym, frozenset()) for sym in self.occurring}
+        _, stays, nonempty = self.verdict(full, len(self.occurring) - 1)
+        if nonempty and self.mode == "exact":
             realized = realize_views(full, self.monoid)
-            return all(
+            return stays, all(
                 c.reverse_separating(c.substituted(realized)) is None for c in self.checkers
             )
-        return True
-
-    def prefix_ok(self, partial: ClassViews) -> bool:
-        """Containment with unassigned symbols treated as empty."""
-        return all(cc.capture(partial)[1] for cc in self.class_checks)
+        return stays, nonempty
 
     def options(self, _sym: str):
-        """Candidate views of any symbol in canonical order: the empty view,
-        then single classes (sound) or unions of classes by size (exact)."""
+        """A symbol's views in canonical order (by size, then lexicographic):
+        the empty view, single classes, and in exact mode each larger union
+        whose subsets one class smaller all stayed.  A view that did not stay
+        rules out every larger one (see :meth:`verdict`), so every union of a
+        solution is offered; the unions left out are counted as pruned."""
         m = len(self.monoid.elements)
-        sizes = (1,) if self.mode == "sound" else range(1, m + 1)
-        yield frozenset()
-        for size in sizes:
-            for combo in itertools.combinations(range(m), size):
-                yield frozenset(combo)
+        top = 1 if self.mode == "sound" else m
+        stayed, size = [()] if (yield frozenset()) else [], 0
+        while stayed and size < top:
+            size += 1
+            level = _grow(stayed) if size > 1 else [(e,) for e in range(m)]
+            self.stats.prefixes_pruned += math.comb(m, size) - len(level)
+            stayed = []
+            for union in level:
+                if (yield frozenset(union)):
+                    stayed.append(union)
+        self.stats.prefixes_pruned += sum(math.comb(m, s) for s in range(size + 1, top + 1))
+
+
+def _grow(stayed: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The unions one class larger all of whose subsets one class smaller
+    stayed, in lexicographic order like ``stayed``: each joins two of those
+    subsets that share all but their last class."""
+    kept = set(stayed)
+    return [
+        head + pair
+        for head, group in itertools.groupby(stayed, lambda union: union[:-1])
+        for pair in itertools.combinations([union[-1] for union in group], 2)
+        if all(head[:j] + head[j + 1 :] + pair in kept for j in range(len(head)))
+    ]
 
 
 def synthesize(
@@ -298,7 +335,7 @@ def synthesize(
     mode = mode or instance.mode
     started = time.monotonic()
     engine = _Engine(instance, mode, det_cap=det_cap, monoid_cap=monoid_cap)
-    stats = SearchStats(mode=mode, monoid_size=len(engine.monoid.elements))
+    stats = engine.stats
 
     # a capturing rewriting, sound or exact, is nonempty and contained in
     # its target, so an empty target admits none
@@ -308,17 +345,17 @@ def synthesize(
             stats.elapsed = time.monotonic() - started
             return SynthesisReport("not-found", None, None, stats, monoid=engine.monoid)
 
-    def accept(views: ClassViews) -> "ClassViews | None":
+    def accept(views: ClassViews) -> "tuple[bool, ClassViews | None]":
         stats.assignments_tried += 1
         if stats.assignments_tried > budget:
             raise BudgetExceeded("synthesis search", budget)
-        return dict(views) if engine.assignment_ok(views) else None
+        stays, captures = engine.assignment_ok(views)
+        return stays, dict(views) if captures else None
 
-    def prefix_ok(partial: ClassViews) -> bool:
-        if engine.prefix_ok(partial):
-            return True
-        stats.prefixes_pruned += 1
-        return False
+    def prefix_ok(partial: ClassViews) -> tuple[bool, bool]:
+        contained, stays, _ = engine.verdict(partial, len(partial) - 1)
+        stats.prefixes_pruned += not contained
+        return stays, contained
 
     solutions = search(engine.occurring, engine.options, prefix_ok, accept, find_all)
 
@@ -379,7 +416,7 @@ def maximize(
     Raises when the seed views do not capture.
     """
     engine = _Engine(instance, mode, det_cap=det_cap, monoid_cap=monoid_cap)
-    if not engine.assignment_ok(views):
+    if not engine.assignment_ok(views)[1]:
         raise InputError("maximize needs views that already capture the mappings")
     return _maximize_with_engine(engine, views)
 
@@ -394,7 +431,7 @@ def _maximize_with_engine(engine: _Engine, views: ClassViews) -> ClassViews:
             if index in current[sym]:
                 continue
             candidate = {**current, sym: current[sym] | {index}}
-            if engine.prefix_ok(candidate):
+            if engine.verdict(candidate)[0]:
                 current = candidate
     return current
 

@@ -12,31 +12,38 @@ def search(symbols, options, prefix_ok, accept, find_all: bool) -> list:
     The depth-first search takes ``symbols`` in order and each symbol's
     ``options(symbol)`` in their canonical order, so it meets full
     assignments in lexicographic canonical order and never meets one twice.
-    An assignment to the first symbols is extended only while
-    ``prefix_ok(partial)`` holds, which must hold for every prefix of an
-    accepted assignment.  The path search checks containment with the
-    unassigned symbols having no view, which is lossless because sound
-    containment is antitone in the views: growing a view only adds to the
-    substituted source.  The relational search checks completions by its
-    bottom view (``cq_synth``).
-    ``accept(assignment)`` returns the solution to report for a full
-    assignment, or ``None``; the assignment is the search's own dict, so a
-    solution must copy it.
+    ``prefix_ok(partial)`` gives ``(stayed, viable)``, and only a viable
+    prefix is extended; ``accept(assignment)`` gives ``(stayed, solution)``,
+    a copy of the search's own dict or ``None``.  The search sends the
+    options' generator whether each view stayed, that is, whether a larger
+    view may still lead to a solution.  The path search grows only those
+    views, and checks containment with the unassigned symbols having no
+    view, both lossless as sound containment is antitone in the views
+    (``rpq_synth``).  The relational search checks completions by its
+    bottom view and reports ``None`` for what stayed (``cq_synth``).
     """
     partial: dict = {}
 
     def dfs(depth: int):
         if depth == len(symbols):
-            solution = accept(partial)
+            stayed, solution = accept(partial)
             if solution is not None:
                 yield solution
-            return
+            return stayed
         sym = symbols[depth]
-        for view in options(sym):
-            partial[sym] = view
-            if depth + 1 == len(symbols) or prefix_ok(partial):
-                yield from dfs(depth + 1)
-            del partial[sym]
+        views, stayed = iter(options(sym)), None
+        while True:
+            try:
+                partial[sym] = views.send(stayed)
+            except StopIteration:
+                partial.pop(sym, None)
+                return
+            if depth + 1 == len(symbols):
+                stayed = yield from dfs(depth + 1)
+            else:
+                stayed, viable = prefix_ok(partial)
+                if viable:
+                    yield from dfs(depth + 1)
 
     found = dfs(0)
     return list(found) if find_all else list(itertools.islice(found, 1))

@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 from pathlib import Path
@@ -63,7 +64,7 @@ def test_two_mappings_assignment_counts_are_pinned():
     # on the paper's join a prefix that empties one piece empties the whole
     # joined source, so its containment check passes without testing anything
     inst = parse_instance((INSTANCES / "two_mappings.vs").read_text(encoding="utf-8"))
-    for searched, sound, exact in ((inst, 11, 128), (joined_instance(inst), 18, 4_096)):
+    for searched, sound, exact in ((inst, 11, 14), (joined_instance(inst), 18, 448)):
         assert synthesize(searched, "sound").stats.assignments_tried == sound
         assert synthesize(searched, "exact", find_all=True).stats.assignments_tried == exact
 
@@ -88,6 +89,118 @@ def test_reduction_preserves_existence_on_random_instances():
             assert report.stats.assignments_tried <= joined.stats.assignments_tried
             compared[mode, report.found] += 1
     assert min(compared[mode, found] for mode in ("sound", "exact") for found in (True, False)) >= 5
+
+
+# --- the level-wise walk of class unions --------------------------------------
+
+def exhaustive_views(engine, maximal):
+    """Every capturing assignment of class unions, in canonical order, from
+    the whole product of the unions; with ``maximal`` each grown as the
+    search grows its solutions, keeping the first of equal results."""
+    m = len(engine.monoid.elements)
+    unions = [
+        frozenset(c) for size in range(m + 1) for c in itertools.combinations(range(m), size)
+    ]
+    found = []
+    for combo in itertools.product(unions, repeat=len(engine.occurring)):
+        views = dict(zip(engine.occurring, combo))
+        if engine.assignment_ok(views)[1]:
+            found.append(views)
+    if maximal:
+        grown = (rpq_synth._maximize_with_engine(engine, views) for views in found)
+        found = list({frozenset(v.items()): v for v in grown}.values())
+    return found
+
+
+def test_class_union_walk_agrees_with_exhaustive_product(monkeypatch):
+    # the walk meets the product's solutions in its order, and never offers
+    # a union with a subset one class smaller that did not stay
+    offered = []  # (engine, views, depth) of each verdict the search asks for
+    original = _Engine.verdict
+
+    def recording(engine, views, depth=-1):
+        offered.append((engine, dict(views), depth))
+        return original(engine, views, depth)
+
+    monkeypatch.setattr(_Engine, "verdict", recording)
+    rng = random.Random(31)
+    compared = Counter()
+    for draw in range(120):
+        inst = random_rpq_instance(
+            rng, n_mappings=rng.randint(1, 3), max_target_leaves=2 + 2 * (draw % 2)
+        )
+        engine = _Engine(inst, "exact")
+        if (2 ** len(engine.monoid.elements)) ** len(engine.occurring) > 2_048:
+            continue
+        offered.clear()
+        report = synthesize(inst, "exact", find_all=True)
+        walked = list(offered)
+        assert (report.all_views or []) == exhaustive_views(engine, False)
+        grown = synthesize(inst, "exact", find_all=True, maximal=True).all_views
+        assert (grown or []) == exhaustive_views(engine, True)
+        for searched, views, depth in walked:
+            sym = searched.occurring[depth] if depth >= 0 else None
+            for index in views.get(sym, ()):
+                smaller = {**views, sym: views[sym] - {index}}
+                assert original(searched, smaller, depth)[1]
+        # exact capture is sound capture too; the walk stopped at single
+        # classes is the sound search
+        try:
+            oracle, _ = brute_view_existence_rpq(inst, budget=20_000)
+        except BudgetExceeded:
+            continue
+        assert synthesize(inst, "sound").outcome == oracle
+        assert oracle == "found" or not report.found
+        compared[report.found, len(report.all_views or []) > 1] += 1
+    assert min(compared.values()) >= 5, compared
+
+
+def test_union_growth_keeps_the_unions_whose_subsets_all_stayed():
+    rng = random.Random(41)
+    for _ in range(200):
+        m, size = rng.randint(1, 7), rng.randint(1, 4)
+        stayed = [u for u in itertools.combinations(range(m), size) if rng.random() < 0.7]
+        kept = set(stayed)
+        assert rpq_synth._grow(stayed) == [
+            union
+            for union in itertools.combinations(range(m), size + 1)
+            if all(sub in kept for sub in itertools.combinations(union, size))
+        ]
+
+
+@pytest.mark.parametrize("mode", ["sound", "exact"])
+def test_one_symbol_search_counts_every_union_once(mode):
+    # with no prefix to check, each union is either tried or skipped
+    rng = random.Random(43)
+    for _ in range(40):
+        inst = random_rpq_instance(rng, max_source_symbols=1, max_target_leaves=3)
+        if not inst.occurring_source_symbols():
+            continue
+        stats = synthesize(inst, mode, find_all=True).stats
+        m = stats.monoid_size
+        assert stats.assignments_tried + stats.prefixes_pruned == (
+            1 + m if mode == "sound" else 2**m
+        )
+
+
+def test_exact_search_finishes_a_draw_that_exhausted_the_budget():
+    # 33 classes: the exhaustive product took over 200,000 tries here
+    inst = random_rpq_instance(
+        random.Random(5),
+        n_mappings=2,
+        max_source_symbols=3,
+        max_target_symbols=3,
+        max_target_leaves=6,
+    )
+    assert [(m.source.render(), m.target.render()) for m in inst.mappings] == [
+        ("a3.a3.a3", "(b1.(b1|b1.b2.b2.b1))*"),
+        ("a1", "b1|b1.b1.b1"),
+    ]
+    report = synthesize(inst, "exact", find_all=True, budget=20_000)
+    assert report.stats.monoid_size == 33
+    assert len(report.all_views) == 2
+    for views in report.all_views:
+        assert capture_check(inst, realize_views(views, report.monoid), "exact").ok
 
 
 # --- capture_check --------------------------------------------------------------
@@ -307,7 +420,7 @@ def greedy_capture_pass(engine, views):
             if index in current[sym]:
                 continue
             candidate = {**current, sym: current[sym] | {index}}
-            if engine.assignment_ok(candidate):
+            if engine.assignment_ok(candidate)[1]:
                 current = candidate
     return current
 
@@ -495,18 +608,23 @@ def test_monoid_capture_agrees_with_automata(joined):
             realized = realize_views(views, engine.monoid)
             for sym in engine.occurring:
                 realized.setdefault(sym, None)
-            contained = []
+            per_mapping = []
             for checker, cc in zip(engine.checkers, engine.class_checks):
                 sub = checker.substituted(realized)
                 verdict = (not is_empty(sub)[0], checker.separating(sub) is None)
                 assert cc.capture(views) == verdict
-                contained.append(verdict[1])
+                per_mapping.append(verdict)
                 verdicts[verdict] += 1
-            assert engine.prefix_ok(views) == all(contained)
+            nonempty, contained = (all(column) for column in zip(*per_mapping))
+            assert engine.verdict(views)[0] == contained
             if not partial:
+                # growing the last view keeps an empty rewriting empty
+                # unless that view is empty
+                last_set = any(views[sym] for sym in engine.occurring[-1:])
+                stays = contained and (nonempty or not last_set)
                 for e in (engine, exact):
                     referee = all(c.check(realized, e.mode).ok(e.mode) for c in e.checkers)
-                    assert e.assignment_ok(views) == referee
+                    assert e.assignment_ok(views) == (stays, referee)
     # (nonempty, contained): every possible combination occurs often
     assert set(verdicts) == {(True, True), (True, False), (False, True)}
     assert min(verdicts.values()) >= 40
@@ -526,10 +644,10 @@ def test_missing_view_is_the_empty_view(mode):
             found = []
         for views in found[:8] + [random_class_views(rng, engine, False) for _ in range(4)]:
             missing = {sym: v for sym, v in views.items() if v}
-            assert engine.prefix_ok(missing) == engine.prefix_ok(views)
+            assert engine.verdict(missing)[0] == engine.verdict(views)[0]
             ok = engine.assignment_ok(views)
             assert engine.assignment_ok(missing) == ok
-            accepted += ok and len(missing) < len(views)
+            accepted += ok[1] and len(missing) < len(views)
     assert accepted >= 5
 
 
@@ -565,9 +683,19 @@ def test_search_builds_no_automata_per_candidate(monkeypatch, name, mode, find_a
         return original(*args, **kwargs)
 
     monkeypatch.setattr(rpq_synth, "substitute", counting)
+    # the assignments the monoid passes, decided here apart from the engine
+    passed = []
+    original_ok = rpq_synth._Engine.assignment_ok
+
+    def counting_ok(engine, views):
+        passed.append(all(cc.capture(views) == (True, True) for cc in engine.class_checks))
+        return original_ok(engine, views)
+
+    monkeypatch.setattr(rpq_synth._Engine, "assignment_ok", counting_ok)
     counts = []
-    for budget in (20_000, 1_000_000):  # sec6_exact --all tries 16,384
+    for budget in (20_000, 1_000_000):  # sec6_exact --all tries 1,029
         calls.clear()
+        passed.clear()
         report = synthesize(inst, mode, find_all=find_all, budget=budget)
         assert report.found
         counts.append(len(calls))
@@ -576,5 +704,7 @@ def test_search_builds_no_automata_per_candidate(monkeypatch, name, mode, find_a
         # only the report's own check, one substitution per mapping
         assert counts[0] == len(inst.mappings)
     else:
-        # plus the reverse check of the few sound-capturing survivors
-        assert counts[0] * 100 < report.stats.assignments_tried
+        # plus the reverse check of each assignment the monoid passes, one
+        # substitution each on this one-mapping instance
+        assert len(inst.mappings) == 1
+        assert counts[0] == 1 + sum(passed)
