@@ -7,9 +7,11 @@ target's largest disjunct, more disjuncts than the total target disjunct
 count, or more variables than its atoms can mention.  A body is kept only
 if it is its own canonical form: its existentials are exactly e0..e(k-1)
 and no renaming of them gives a smaller sorted tuple of atoms.  The
-candidates of one atom count form a layer, sorted by ``render()``; the
-search takes the layers in order of atom count and builds each only when
-it first reaches it.
+candidates of one atom count form a layer in ``render()`` order, which the
+enumeration meets without sorting (``enumerate_view_candidates``).  The
+search takes the layers in order of atom count and builds each candidate
+only when it first reaches it, so a search that stops at its first
+solution leaves the rest of that layer unbuilt.
 
 **The bottom view.** For head arity n, K*ₙ is ``q(h0,…,h0)`` with every
 target predicate applied to ``h0`` alone.  Every CQ or UCQ view V of
@@ -28,6 +30,7 @@ complete as undefined only.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass
 
 from .errors import BudgetExceeded, InputError
@@ -46,12 +49,16 @@ CqViews = dict[str, "CQ | UCQ | None"]  # None marks an undefined view
 # Containment mappings
 # ---------------------------------------------------------------------------
 
-def find_hom(q_from: CQ, q_to: CQ) -> "Hom | None":
+def find_hom(
+    q_from: CQ, q_to: CQ, by_pred: "dict[str, list[Atom]] | None" = None
+) -> "Hom | None":
     """A containment mapping from ``q_from`` onto ``q_to``.
 
     Head variables map positionally; every atom of ``q_from`` must land on
     an atom of ``q_to`` with the same predicate.  A mapping exists iff
-    ``q_to`` is contained in ``q_from``.
+    ``q_to`` is contained in ``q_from``.  ``by_pred`` is ``q_to``'s
+    ``_atoms_by_pred``, for a caller that tries several ``q_from`` against
+    one ``q_to``.
     """
     if len(q_from.head) != len(q_to.head):
         raise InputError("containment mapping needs equal head arities")
@@ -60,9 +67,8 @@ def find_hom(q_from: CQ, q_to: CQ) -> "Hom | None":
         if binding.get(u, v) != v:
             return None
         binding[u] = v
-    by_pred: dict[str, list[Atom]] = {}
-    for a in q_to.atoms:
-        by_pred.setdefault(a.pred, []).append(a)
+    if by_pred is None:
+        by_pred = _atoms_by_pred(q_to)
 
     atoms = list(q_from.atoms)
 
@@ -87,6 +93,14 @@ def find_hom(q_from: CQ, q_to: CQ) -> "Hom | None":
     return backtrack(0, binding)
 
 
+def _atoms_by_pred(q: CQ) -> dict[str, list[Atom]]:
+    """The atoms of ``q`` grouped by predicate, in body order."""
+    by_pred: dict[str, list[Atom]] = {}
+    for a in q.atoms:
+        by_pred.setdefault(a.pred, []).append(a)
+    return by_pred
+
+
 def cq_contained(q1: CQ, q2: CQ) -> bool:
     """q1 contained in q2 (a containment mapping from q2 onto q1 exists)."""
     return find_hom(q2, q1) is not None
@@ -98,16 +112,18 @@ def ucq_contains(q1, q2: UCQ) -> bool:
     ``q1`` may be a UCQ or a plain list of CQs (a possibly-empty union).
     """
     disjuncts = q1.disjuncts if isinstance(q1, UCQ) else q1
-    return all(
-        any(cq_contained(d1, d2) for d2 in q2.disjuncts) for d1 in disjuncts
-    )
+    for d1 in disjuncts:
+        by_pred = _atoms_by_pred(d1)
+        if all(find_hom(d2, d1, by_pred) is None for d2 in q2.disjuncts):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
 # Substitution of views into source queries
 # ---------------------------------------------------------------------------
 
-def cq_substitute(q_s: UCQ, views: CqViews, source_preds) -> list[CQ]:
+def cq_substitute(q_s: UCQ, views: CqViews, source_preds: "set[str]") -> list[CQ]:
     """Replace source atoms by view bodies, distributing UCQ views.
 
     Disjuncts mentioning an undefined source predicate are dropped; the
@@ -116,24 +132,28 @@ def cq_substitute(q_s: UCQ, views: CqViews, source_preds) -> list[CQ]:
     Repeated head variables in a view equate the corresponding atom
     arguments across the produced disjunct.
     """
-    source_preds = set(source_preds)
+    bodies = {
+        pred: v.disjuncts if isinstance(v, UCQ) else (v,)
+        for pred, v in views.items()
+        if v is not None
+    }
     out: list[CQ] = []
     for d in q_s.disjuncts:
-        if any(a.pred in source_preds and views.get(a.pred) is None for a in d.atoms):
+        if any(a.pred in source_preds and a.pred not in bodies for a in d.atoms):
             continue
-        per_atom: list[list["CQ | None"]] = []
+        per_atom: list[tuple["CQ | None", ...]] = []
         for atom in d.atoms:
             if atom.pred in source_preds:
-                v = views[atom.pred]
-                v_ucq = v if isinstance(v, UCQ) else UCQ((v,))
-                if v_ucq.arity != len(atom.args):
+                alternatives = bodies[atom.pred]
+                arity = len(alternatives[0].head)
+                if arity != len(atom.args):
                     raise InputError(
-                        f"view for {atom.pred} has head arity {v_ucq.arity}, "
+                        f"view for {atom.pred} has head arity {arity}, "
                         f"atom uses {len(atom.args)}"
                     )
-                per_atom.append(list(v_ucq.disjuncts))
+                per_atom.append(alternatives)
             else:
-                per_atom.append([None])
+                per_atom.append((None,))
         for combo in itertools.product(*per_atom):
             out.append(_splice_disjunct(d, combo))
     return out
@@ -235,18 +255,25 @@ def enumerate_view_candidates(
     target_schema: dict[str, int],
     n_atoms: int,
     keep,
-) -> list[CQ]:
-    """The canonical candidate CQ views with ``n_atoms`` atoms for one source
-    predicate that pass ``keep``, sorted by ``render()``.  Each distinct
-    candidate meets ``keep`` once, as soon as it is built, so a filter that
-    spends a budget stops the enumeration too.
+) -> Iterator[CQ]:
+    """Yield the canonical candidate CQ views with ``n_atoms`` atoms for one
+    source predicate that pass ``keep``, in ``render()`` order.  Each
+    distinct candidate meets ``keep`` once, as soon as it is built, and is
+    yielded at once, so a consumer that stops early leaves the rest unbuilt
+    and a filter that spends a budget stops the enumeration too.
+
+    The order needs no sort.  Head patterns are taken in order of their
+    rendering (at arity 11 or more, ``h10`` comes before ``h2``).  Within
+    one head, ``combinations`` walks the sorted atom universe in
+    lexicographic order, and that is ``render()`` order: ``(``, ``,`` and
+    ``)`` sort below every identifier character, so comparing atoms as
+    (predicate, arguments) tuples agrees with comparing their renderings.
 
     ``n_atoms`` atoms mention at most ``n_atoms`` times the largest target
     arity variables, head variables included, so that bounds the pool of
     existentials; each layer needs no more."""
     max_arity = max(target_schema.values(), default=2)
-    kept: list[CQ] = []
-    for head in _head_patterns(arity):
+    for head in sorted(_head_patterns(arity), key=lambda head: CQ(head, ()).render()):
         head_vars = sorted(set(head))
         n_exist = max(0, n_atoms * max_arity - len(head_vars))
         pool = head_vars + [f"e{i}" for i in range(n_exist)]
@@ -270,8 +297,7 @@ def enumerate_view_candidates(
             if _least_relabelling(body, universe, index, head, names[em.bit_length()]):
                 view = CQ(head, tuple(universe[i] for i in body))
                 if keep(view):
-                    kept.append(view)
-    return sorted(kept, key=CQ.render)
+                    yield view
 
 
 def _least_relabelling(body: tuple[int, ...], universe, index, head, names) -> bool:
@@ -341,9 +367,11 @@ def synthesize_cq(
     of ``render()``, then, for UCQ views, unions of those candidates.  A
     candidate is kept only if it is locally sound (containment holds with
     all other symbols undefined; a violation there survives any extension,
-    so the filter is lossless).  An atom-count layer is built only when the
-    search first reaches it and is kept for its later passes; the unions
-    are built from the complete list of single candidates.  A union with
+    so the filter is lossless).  Each candidate is built, and its keep test
+    made, only when the search first reaches it, and is kept for later
+    passes; a layer is built whole only if the search walks past its end.
+    The unions are built from the complete list of single candidates, all
+    built by the time the search reaches the first union.  A union with
     one disjunct contained in another is skipped: it equals the smaller
     union without that disjunct, which comes earlier and passes the same
     checks.  With ``find_all`` every passing assignment is collected,
@@ -366,7 +394,7 @@ def synthesize_cq(
 
     ``budget`` bounds the checks the search makes: one per mapping in each
     keep or prune test, and one per full assignment it decides.  Candidates
-    a layer skips unbuilt, and layers the search never reaches, cost nothing.
+    the search never reaches cost nothing.
     """
     if instance.kind not in ("cq", "ucq"):
         raise InputError(f"synthesize_cq supports cq/ucq instances, not {instance.kind}")
@@ -415,30 +443,31 @@ def synthesize_cq(
         result = capture_check_cq(instance, assignment, mode)
         return None, (assignment, result) if result.ok else None
 
-    def layers(sym: str):
+    def candidates(sym: str):
+        """The symbol's options in canonical order, each built when the
+        search first asks for it."""
         arity = instance.symbols[sym].arity
 
         def keep(view) -> bool:  # locally sound
             return sound({sym: view}, nonempty=False)
 
-        yield [None]
+        yield None
         singles: list[CQ] = []
         for n_atoms in range(1, bounds.atom_bound + 1):
-            layer = enumerate_view_candidates(arity, target_schema, n_atoms, keep)
-            singles += layer
-            yield layer
+            for view in enumerate_view_candidates(arity, target_schema, n_atoms, keep):
+                singles.append(view)
+                yield view
         if view_kind == "ucq" and (mode == "exact" or find_all):
-            unions: list[UCQ] = []
+            # every single is built by now: the unions come after them all
             for size in range(2, bounds.disjunct_bound + 1):
                 for combo in itertools.combinations(singles, size):
                     if any(cq_contained(a, b) for a, b in itertools.permutations(combo, 2)):
                         continue
                     view = UCQ(combo)
                     if keep(view):
-                        unions.append(view)
-            yield unions
+                        yield view
 
-    options = {sym: _Options(layers(sym)) for sym in occurring}
+    options = {sym: _Options(candidates(sym)) for sym in occurring}
     solutions = []
     if bottom_completes({}):
         solutions = search(
@@ -461,23 +490,26 @@ def _bottom_view(arity: int, target_schema: dict[str, int]) -> CQ:
 
 
 class _Options:
-    """One symbol's options, drawn from an iterator of layers.  A layer is
+    """One symbol's options, drawn from a lazy stream of them.  An option is
     built when an iteration first reaches it and kept for later ones, since
-    the search iterates a later symbol's options once per prefix."""
+    the search iterates a later symbol's options once per prefix; an
+    iteration that runs past the built ones resumes the stream."""
 
-    def __init__(self, layers):
-        self._layers = layers
-        self._built: list[list] = []
+    _END = object()
+
+    def __init__(self, stream):
+        self._stream = stream
+        self._built: list = []
 
     @property
     def n_built(self) -> int:
-        return sum(map(len, self._built))
+        return len(self._built)
 
     def __iter__(self):
         for i in itertools.count():
             if i == len(self._built):
-                layer = next(self._layers, None)
-                if layer is None:
+                view = next(self._stream, self._END)
+                if view is self._END:
                     return
-                self._built.append(layer)
-            yield from self._built[i]
+                self._built.append(view)
+            yield self._built[i]

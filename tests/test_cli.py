@@ -517,6 +517,71 @@ def test_cli_verdicts_agree_with_the_referees(capsys, tmp_path):
     assert seen["two arities"] >= 30, seen
     assert seen["skipped"] < seen["synth"] / 2 < seen["synth verdicts"], seen
 
+    # contain --kind 2rpq against brute-force folding, and check against the
+    # sampled semantics, on a stream of their own
+    from collections import Counter
+
+    from viewsynth.model import RSym, ralt
+    from viewsynth.oracle import coherence_soundness_sample, enumerate_language
+    from viewsynth.parser import parse_views
+
+    from .test_twoway import brute_fold_accepts
+
+    rng = random.Random(19)
+    tally = Counter()
+    for i in range(60):
+        # star-free, at most 6 leaves: q2 has no word longer than 6, so
+        # enumerating its words that long is the whole brute-force search
+        r1, r2 = (random_regex(rng, ["a", "a^-", "b"], max_leaves=3, star_ok=False)
+                  for _ in range(2))
+        if rng.random() < 0.3:
+            r2 = ralt([r1, r2])  # built to hold
+        code, _ = call("contain", "--kind", "2rpq", r1.render(), r2.render())
+        if code == 0:
+            tally["2rpq holds"] += 1
+            q1, q2 = compile_regex(r1), compile_regex(r2)
+            for u in enumerate_language(q1, 6):
+                assert brute_fold_accepts(q2, u, 6), (r1, r2, u)
+        # no word of q2 reads c, so none folds onto the word c
+        code, _ = call("contain", "--kind", "2rpq", ralt([r1, RSym("c")]).render(), r2.render())
+        assert code == 1, (r1, r2)
+
+        inst = random_rpq_instance(rng, n_mappings=rng.randint(1, 2))
+        path = tmp_path / f"check{i}.vs"
+        path.write_text(
+            f"kind rpq\nsource {' '.join(inst.source_names)}\n"
+            f"target {' '.join(inst.target_names)}\n"
+            + "".join(f"map {m.render()}\n" for m in inst.mappings),
+            encoding="utf-8",
+        )
+        mode = rng.choice(["sound", "exact"])
+        code, out = call("synth", "--mode", mode, "--budget", "2000", "--format", "json", str(path))
+        found = json.loads(out)["views"] if code == 0 else {}
+        lines = []
+        for sym in inst.source_names:  # mostly the views synth found, if any
+            if sym in found and rng.random() < 0.8:
+                view = found[sym]
+            elif rng.random() < 0.2:
+                view = "empty"
+            else:
+                view = random_regex(rng, list(inst.target_names), max_leaves=2).render()
+            lines.append(f"view {sym} = {view}\n")
+        views_path = tmp_path / f"check{i}.vsv"
+        views_path.write_text("".join(lines), encoding="utf-8")
+        code, _ = call("check", "--mode", mode, str(path), "--views", str(views_path))
+        views = {
+            sym: None if q is None else compile_regex(q)
+            for sym, q in parse_views(views_path.read_text(encoding="utf-8"), inst).items()
+        }
+        sample = coherence_soundness_sample(inst, views, samples=20, seed=i, mode=mode)
+        if code == 0:
+            assert sample.ok, (inst, lines, mode)
+        tally["check", code] += 1
+        tally["sample rejects"] += not sample.ok
+    assert tally["2rpq holds"] >= 10, tally
+    assert tally["check", 0] >= 20 and tally["check", 1] >= 20, tally
+    assert tally["sample rejects"] >= 15, tally
+
 
 # --- check ------------------------------------------------------------------------
 

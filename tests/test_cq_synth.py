@@ -212,7 +212,8 @@ THREE_ATOM = (
 
 def test_budget_stops_candidate_enumeration(monkeypatch):
     # the whole enumeration for this 3-atom target runs the relabelling test
-    # on 12,495 of its 124,536 bodies; the budget has to stop it far sooner
+    # on 12,495 of its 124,536 bodies; the budget has to stop it far sooner.
+    # With find_all the search must walk every layer it reaches whole.
     inst = parse_instance(THREE_ATOM)
     calls = 0
     least = cq_synth._least_relabelling
@@ -224,8 +225,68 @@ def test_budget_stops_candidate_enumeration(monkeypatch):
 
     monkeypatch.setattr(cq_synth, "_least_relabelling", counted)
     with pytest.raises(BudgetExceeded):
-        synthesize_cq(inst, budget=200)
+        synthesize_cq(inst, budget=200, find_all=True)
     assert 0 < calls < 1_000
+
+
+def test_sound_search_stops_enumerating_at_its_first_solution():
+    # the one-atom layer keeps nothing, and the first kept two-atom candidate
+    # captures; building the whole two-atom layer first took 209 checks
+    report = synthesize_cq(parse_instance(THREE_ATOM), "sound")
+    assert report.views["a"].render() == "q(h0,h0) :- r(h0,h0), s(h0,h0)"
+    assert report.stats.checks == 69
+    assert report.stats.candidates_per_symbol == {"a": 2}
+
+
+@pytest.mark.parametrize("arity", [1, 2, 3, 4])
+def test_streamed_layers_come_in_render_order(arity):
+    # no sort: head patterns by their rendering, then combinations of the
+    # sorted atom universe
+    schema = {"r": 2, "s": 1}
+    for n_atoms in (1, 2):
+        layer = list(enumerate_view_candidates(arity, schema, n_atoms, lambda view: True))
+        assert layer and layer == sorted(layer, key=CQ.render), (arity, n_atoms)
+
+
+TWO_SYMBOLS = (
+    "kind cq\nsource a/2 b/2\ntarget r/2 s/2\n"
+    "map q(x,y) :- a(x,z), b(z,y) ~> q(x,y) :- r(x,z), s(z,y)\n"
+)
+
+
+def test_options_resumed_across_prefixes_yield_one_uninterrupted_pass():
+    # each prefix walks a later symbol's options afresh, and may stop early;
+    # walks that resume the stream part-way, or run side by side, see the
+    # sequence a single pass sees, and build each candidate once
+    inst = parse_instance(TWO_SYMBOLS)
+    schema = {n: inst.symbols[n].arity for n in inst.target_names}
+    atom_bound = bounds_for(inst).atom_bound
+    kept = Counter()
+
+    def stream(sym):
+        def keep(view):
+            kept[sym, view] += 1
+            views = {**dict.fromkeys(inst.source_names), sym: view}
+            return capture_check_cq(inst, views, "sound").per_mapping[0].contained
+
+        yield None
+        for n_atoms in range(1, atom_bound + 1):
+            yield from enumerate_view_candidates(2, schema, n_atoms, keep)
+
+    for sym in inst.source_names:
+        one_pass = list(stream(sym))
+        assert len(one_pass) > 5
+        kept.clear()
+        options = cq_synth._Options(stream(sym))
+        for stop, built in ((0, 0), (1, 1), (3, 3), (2, 3), (5, 5)):
+            assert list(itertools.islice(options, stop)) == one_pass[:stop]
+            assert options.n_built == built
+        walk, side = iter(options), iter(options)
+        assert [(next(walk), next(side))[0] for _ in range(7)] == one_pass[:7]
+        assert list(walk) == one_pass[7:]
+        assert list(side) == one_pass[7:]
+        assert list(options) == one_pass and options.n_built == len(one_pass)
+        assert set(kept.values()) == {1}, sym
 
 
 TERNARY = (
@@ -448,10 +509,11 @@ def _referee_candidates(inst) -> dict:
     }
 
 
-def _reference(inst, candidates, mode, view_kind, find_all):
+def _reference(inst, candidates, mode, view_kind, find_all, distinct=False):
     """The capturing assignments of ``itertools.product`` over ``[None]`` and
     each symbol's ``candidates`` (and, for union views, all their unions
-    within the disjunct bound), in that order; only the first unless
+    within the disjunct bound, only those without a disjunct contained in
+    another if ``distinct``), in that order; only the first unless
     ``find_all``.  None when the product exceeds ``PRODUCT_CAP``."""
     disjunct_bound = bounds_for(inst).disjunct_bound
     options = []
@@ -462,6 +524,9 @@ def _reference(inst, candidates, mode, view_kind, find_all):
                 UCQ(combo)
                 for size in range(2, disjunct_bound + 1)
                 for combo in itertools.combinations(singles, size)
+                if not distinct or not any(
+                    cq_contained_canonical(a, b) for a, b in itertools.permutations(combo, 2)
+                )
             ]
         options.append([None, *singles, *unions])
     if math.prod(map(len, options)) > PRODUCT_CAP:
@@ -536,6 +601,27 @@ def test_search_agrees_with_the_brute_force_product(tmp_path, capsys):
     # 300 requests: at most a tenth too large for the reference
     assert seen["skipped"] <= 30 and seen["cli"] >= 12, seen
     assert min(seen[m, o] for m in ("sound", "exact") for o in ("found", "not-found")) >= 20, seen
+
+
+def test_union_listing_agrees_with_the_brute_force_product():
+    # --all with union views, on the draws above: the listing is the product
+    # over unions without a disjunct contained in another
+    rng = random.Random(17)
+    seen = Counter()
+    for i in range(50):
+        inst = _small_ucq_instance(rng)
+        candidates = _referee_candidates(inst)
+        for mode in ("sound", "exact"):
+            want = _reference(inst, candidates, mode, "ucq", True, distinct=True)
+            if want is None:
+                seen["skipped"] += 1
+                continue
+            report = synthesize_cq(inst, mode, "ucq", find_all=True)
+            assert (report.all_views or []) == want, (i, mode)
+            seen[mode, report.outcome] += 1
+            seen["unions"] += sum(isinstance(v, UCQ) for views in want for v in views.values())
+    assert seen["skipped"] <= 20 and seen["unions"] >= 1_000, seen
+    assert min(seen[m, o] for m in ("sound", "exact") for o in ("found", "not-found")) >= 10, seen
 
 
 def test_found_views_verified_semantically(chain_cq):
