@@ -26,7 +26,8 @@ from .automata import (
 )
 from .congruence import DEFAULT_MONOID_CAP, pairs, transition_monoid
 from .cq_synth import capture_check_cq, synthesize_cq, ucq_contains
-from .rpq_synth import DEFAULT_SEARCH_BUDGET, capture_check, synthesize
+from .rpq_synth import capture_check, synthesize
+from .search import DEFAULT_SEARCH_BUDGET
 from .twoway import contains_2rpq
 
 

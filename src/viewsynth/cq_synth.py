@@ -8,9 +8,11 @@ count, or more variables than its atoms can mention.  A body is kept only
 if it is its own canonical form: its existentials are exactly e0..e(k-1)
 and no renaming of them gives a smaller sorted tuple of atoms.  The
 candidates of one atom count form a layer in ``render()`` order, which the
-enumeration meets without sorting (``enumerate_view_candidates``).  The
-search takes the layers in order of atom count and builds each candidate
-only when it first reaches it, so a search that stops at its first
+enumeration meets without sorting (``enumerate_view_candidates``).  Each
+symbol's options are one lazy stream: the layers in order of atom count,
+filtered by the search's local-soundness test, memoized by
+``itertools.tee`` so that every prefix re-reads what is built and only the
+first to run past it builds more.  A search that stops at its first
 solution leaves the rest of that layer unbuilt.
 
 **The bottom view.** For head arity n, K*ₙ is ``q(h0,…,h0)`` with every
@@ -31,14 +33,13 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterator
+from copy import copy
 from dataclasses import asdict, dataclass
 
 from .errors import BudgetExceeded, InputError
 from .model import Atom, CQ, ProblemInstance, UCQ
 from .report import CaptureResult, Check, SearchStats, SynthesisReport
-from .search import search
-
-DEFAULT_CQ_BUDGET = 1_000_000
+from .search import DEFAULT_SEARCH_BUDGET, search
 
 Hom = dict[str, str]
 
@@ -210,7 +211,10 @@ def _splice_disjunct(d: CQ, combo) -> CQ:
 
 @dataclass(frozen=True)
 class SynthesisBounds:
-    """Search bounds making the candidate enumeration complete."""
+    """Search bounds making the candidate enumeration complete.  The atom
+    and disjunct bounds cap what the search enumerates; ``variable_bound``
+    is only the reported ceiling, since each layer sizes its own variable
+    pool by its atom count (``enumerate_view_candidates``)."""
 
     atom_bound: int      # sum over mappings of the largest target disjunct
     disjunct_bound: int  # total target disjuncts across mappings
@@ -251,16 +255,12 @@ def _head_patterns(arity: int) -> list[tuple[str, ...]]:
 
 
 def enumerate_view_candidates(
-    arity: int,
-    target_schema: dict[str, int],
-    n_atoms: int,
-    keep,
+    arity: int, target_schema: dict[str, int], n_atoms: int
 ) -> Iterator[CQ]:
     """Yield the canonical candidate CQ views with ``n_atoms`` atoms for one
-    source predicate that pass ``keep``, in ``render()`` order.  Each
-    distinct candidate meets ``keep`` once, as soon as it is built, and is
-    yielded at once, so a consumer that stops early leaves the rest unbuilt
-    and a filter that spends a budget stops the enumeration too.
+    source predicate, in ``render()`` order, each distinct one once and as
+    soon as it is built.  A consumer that stops early leaves the rest
+    unbuilt, and a caller's filter that spends a budget stops it too.
 
     The order needs no sort.  Head patterns are taken in order of their
     rendering (at arity 11 or more, ``h10`` comes before ``h2``).  Within
@@ -295,9 +295,7 @@ def enumerate_view_candidates(
             if ~mask & head_bits or em & (em + 1):
                 continue
             if _least_relabelling(body, universe, index, head, names[em.bit_length()]):
-                view = CQ(head, tuple(universe[i] for i in body))
-                if keep(view):
-                    yield view
+                yield CQ(head, tuple(universe[i] for i in body))
 
 
 def _least_relabelling(body: tuple[int, ...], universe, index, head, names) -> bool:
@@ -357,7 +355,7 @@ def synthesize_cq(
     instance: ProblemInstance,
     mode: "str | None" = None,
     view_kind: str = "cq",
-    budget: int = DEFAULT_CQ_BUDGET,
+    budget: int = DEFAULT_SEARCH_BUDGET,
     find_all: bool = False,
 ) -> SynthesisReport:
     """Search candidate views in canonical order; first passing wins.
@@ -367,15 +365,16 @@ def synthesize_cq(
     of ``render()``, then, for UCQ views, unions of those candidates.  A
     candidate is kept only if it is locally sound (containment holds with
     all other symbols undefined; a violation there survives any extension,
-    so the filter is lossless).  Each candidate is built, and its keep test
-    made, only when the search first reaches it, and is kept for later
-    passes; a layer is built whole only if the search walks past its end.
-    The unions are built from the complete list of single candidates, all
-    built by the time the search reaches the first union.  A union with
-    one disjunct contained in another is skipped: it equals the smaller
-    union without that disjunct, which comes earlier and passes the same
-    checks.  With ``find_all`` every passing assignment is collected,
-    subject to the budget.
+    so the filter is lossless).  The options are one stream per symbol,
+    memoized by ``itertools.tee``: each candidate is built, and its keep
+    test made, only when some prefix first reaches it, and every later
+    prefix re-reads it from the tee's buffer.  A layer is built whole only
+    if the search walks past its end.  The unions are built from the
+    complete list of single candidates, all built by the time the search
+    reaches the first union.  A union with one disjunct contained in
+    another is skipped: it equals the smaller union without that disjunct,
+    which comes earlier and passes the same checks.  With ``find_all``
+    every passing assignment is collected, subject to the budget.
 
     The search extends an assignment to the first symbols only while some
     completion of the others by the undefined view or the bottom view K*
@@ -444,18 +443,21 @@ def synthesize_cq(
         return None, (assignment, result) if result.ok else None
 
     def candidates(sym: str):
-        """The symbol's options in canonical order, each built when the
-        search first asks for it."""
+        """The symbol's options in canonical order, each built and counted
+        when the search first asks for it."""
         arity = instance.symbols[sym].arity
+        built = stats.candidates_per_symbol
 
         def keep(view) -> bool:  # locally sound
             return sound({sym: view}, nonempty=False)
 
+        built[sym] += 1
         yield None
         singles: list[CQ] = []
         for n_atoms in range(1, bounds.atom_bound + 1):
-            for view in enumerate_view_candidates(arity, target_schema, n_atoms, keep):
+            for view in filter(keep, enumerate_view_candidates(arity, target_schema, n_atoms)):
                 singles.append(view)
+                built[sym] += 1
                 yield view
         if view_kind == "ucq" and (mode == "exact" or find_all):
             # every single is built by now: the unions come after them all
@@ -465,15 +467,22 @@ def synthesize_cq(
                         continue
                     view = UCQ(combo)
                     if keep(view):
+                        built[sym] += 1
                         yield view
 
-    options = {sym: _Options(candidates(sym)) for sym in occurring}
+    stats.candidates_per_symbol = dict.fromkeys(occurring, 0)
+    # copies of a tee that is never advanced share its buffer, so each option
+    # is built once however many prefixes walk it
+    streams = {sym: itertools.tee(candidates(sym), 1)[0] for sym in occurring}
+
+    def options(sym: str):  # a generator, for the search's send(None)
+        yield from copy(streams[sym])
+
     solutions = []
     if bottom_completes({}):
         solutions = search(
-            occurring, options.get, lambda p: (None, bottom_completes(p)), accept, find_all
+            occurring, options, lambda p: (None, bottom_completes(p)), accept, find_all
         )
-    stats.candidates_per_symbol = {sym: opts.n_built for sym, opts in options.items()}
     if not solutions:
         return SynthesisReport("not-found", None, None, stats, bounds=bounds)
     assignment, result = solutions[0]
@@ -487,29 +496,3 @@ def _bottom_view(arity: int, target_schema: dict[str, int]) -> CQ:
     """K*: one head variable repeated, and every target predicate on it alone."""
     atoms = tuple(Atom(pred, ("h0",) * n) for pred, n in sorted(target_schema.items()))
     return CQ(("h0",) * arity, atoms)
-
-
-class _Options:
-    """One symbol's options, drawn from a lazy stream of them.  An option is
-    built when an iteration first reaches it and kept for later ones, since
-    the search iterates a later symbol's options once per prefix; an
-    iteration that runs past the built ones resumes the stream."""
-
-    _END = object()
-
-    def __init__(self, stream):
-        self._stream = stream
-        self._built: list = []
-
-    @property
-    def n_built(self) -> int:
-        return len(self._built)
-
-    def __iter__(self):
-        for i in itertools.count():
-            if i == len(self._built):
-                view = next(self._stream, self._END)
-                if view is self._END:
-                    return
-                self._built.append(view)
-            yield self._built[i]

@@ -12,15 +12,13 @@ class InputError(ViewSynthError):
 class ParseError(InputError):
     """Syntax or declaration error in an instance, query, or views file.
 
-    Carries a 1-based line/column position when one is known.
+    Carries the 1-based line number when one is known.
     """
 
-    def __init__(self, message: str, line: int | None = None, column: int | None = None):
+    def __init__(self, message: str, line: int | None = None):
         self.line = line
-        self.column = column
         if line is not None:
-            where = f"line {line}" + (f", column {column}" if column is not None else "")
-            message = f"{where}: {message}"
+            message = f"line {line}: {message}"
         super().__init__(message)
 
 

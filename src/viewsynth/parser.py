@@ -49,26 +49,24 @@ _CQ_TOKEN = re.compile(r"\s*(?:([A-Za-z0-9_]+)|(:-)|([(),]))")
 
 
 class _Tokens:
-    """A token stream with position tracking for error messages."""
+    """A token stream; errors name the line and quote the offending token."""
 
     def __init__(self, text: str, pattern: re.Pattern, line: int | None):
-        self.text = text
         self.line = line
-        self.items: list[tuple[str, int]] = []
+        self.items: list[str] = []
         pos = 0
         while pos < len(text):
             m = pattern.match(text, pos)
             if m is None:
                 if text[pos:].strip() == "":
                     break
-                raise ParseError(f"unexpected character {text[pos:].strip()[0]!r}", line, pos + 1)
-            tok = next(g for g in m.groups() if g is not None)
-            self.items.append((tok, m.start(1) if m.lastindex else m.start()))
+                raise ParseError(f"unexpected character {text[pos:].strip()[0]!r}", line)
+            self.items.append(next(g for g in m.groups() if g is not None))
             pos = m.end()
         self.i = 0
 
     def peek(self) -> str | None:
-        return self.items[self.i][0] if self.i < len(self.items) else None
+        return self.items[self.i] if self.i < len(self.items) else None
 
     def next(self) -> str:
         tok = self.peek()
@@ -80,11 +78,7 @@ class _Tokens:
     def expect(self, tok: str) -> None:
         got = self.next()
         if got != tok:
-            raise ParseError(f"expected {tok!r}, got {got!r}", self.line, self.column())
-
-    def column(self) -> int:
-        idx = min(self.i, len(self.items) - 1)
-        return self.items[idx][1] + 1 if self.items else 1
+            raise ParseError(f"expected {tok!r}, got {got!r}", self.line)
 
     def done(self) -> bool:
         return self.i >= len(self.items)
@@ -110,7 +104,7 @@ def parse_regex(
     toks = _Tokens(text, _REGEX_TOKEN, line)
     node = _parse_union(toks, alphabet, two_way)
     if not toks.done():
-        raise ParseError(f"trailing input {toks.peek()!r}", line, toks.column())
+        raise ParseError(f"trailing input {toks.peek()!r}", line)
     return node
 
 
@@ -152,7 +146,7 @@ def _parse_atom(toks, alphabet, two_way) -> Regex:
         toks.expect(")")
         return node
     if tok in (".", "|", "+", "*", ")"):
-        raise ParseError(f"unexpected {tok!r}", toks.line, toks.column())
+        raise ParseError(f"unexpected {tok!r}", toks.line)
     if tok == "eps":
         return EPS
     if tok == "empty":
@@ -182,7 +176,7 @@ def parse_cq(
     toks = _Tokens(text, _CQ_TOKEN, line)
     cq = _parse_rule(toks, schema)
     if not toks.done():
-        raise ParseError(f"trailing input {toks.peek()!r}", line, toks.column())
+        raise ParseError(f"trailing input {toks.peek()!r}", line)
     if schema is None:
         _one_arity(cq.atoms, {}, line)
     return cq

@@ -46,11 +46,8 @@ from .congruence import (
     transition_monoid,
 )
 from .report import CaptureResult, Check, SearchStats, SynthesisReport
-from .search import search
+from .search import DEFAULT_SEARCH_BUDGET, search
 from .twoway import fold_automaton, two_to_one
-
-DEFAULT_SEARCH_BUDGET = 1_000_000
-
 
 # A class view is a set of monoid element indices, the union of their
 # congruence classes; the empty set is the empty view.

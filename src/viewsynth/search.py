@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import itertools
 
+DEFAULT_SEARCH_BUDGET = 1_000_000
+
 
 def search(symbols, options, prefix_ok, accept, find_all: bool) -> list:
     """Accepted solutions in canonical order, each once; the first only
@@ -31,7 +33,7 @@ def search(symbols, options, prefix_ok, accept, find_all: bool) -> list:
                 yield solution
             return stayed
         sym = symbols[depth]
-        views, stayed = iter(options(sym)), None
+        views, stayed = options(sym), None
         while True:
             try:
                 partial[sym] = views.send(stayed)

@@ -683,6 +683,19 @@ def test_contain_and_a_map_line_give_one_message(capsys, tmp_path, q1, q2, messa
     assert (code, out, err) == (2, "", f"error: line 4: {message}\n")
 
 
+@pytest.mark.parametrize("command, text, err", [
+    ("synth", "kind cq\nsource a/1\ntarget r/1\nmap q(x :- a(x) ~> q(x) :- r(x)\n",
+     "line 4: expected ')', got ':-'"),
+    ("synth", "kind rpq\nsource a\ntarget b\nmap a | | b ~> b\n", "line 4: unexpected '|'"),
+    ("check", "view a1 = b1 . b2 )\n", "line 1: trailing input ')'"),
+], ids=["expected", "unexpected", "trailing"])
+def test_parse_errors_name_the_line_and_quote_the_token(capsys, tmp_path, command, text, err):
+    path = tmp_path / "input"
+    path.write_text(text, encoding="utf-8")
+    argv = ["synth", str(path)] if command == "synth" else ["check", SOUND, "--views", str(path)]
+    assert run(capsys, *argv) == (2, "", f"error: {err}\n")
+
+
 # --- monoid -----------------------------------------------------------------------
 
 def test_monoid_dot_dumps_before_the_cap_stops_the_build(capsys, tmp_path):

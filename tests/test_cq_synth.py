@@ -185,18 +185,18 @@ def test_bounds_for_chain(chain_cq):
     assert bounds.variable_bound == 2 + 2 * 2
 
 
-def all_layers(arity, schema, atom_bound, keep):
+def all_layers(arity, schema, atom_bound):
     """The candidate layers 1..atom_bound in the search's order."""
     return [
         view
         for n_atoms in range(1, atom_bound + 1)
-        for view in enumerate_view_candidates(arity, schema, n_atoms, keep)
+        for view in enumerate_view_candidates(arity, schema, n_atoms)
     ]
 
 
 def test_candidates_are_canonical_and_deduplicated(chain_cq):
     bounds = bounds_for(chain_cq)
-    candidates = all_layers(2, {"r": 2, "s": 2}, bounds.atom_bound, lambda view: True)
+    candidates = all_layers(2, {"r": 2, "s": 2}, bounds.atom_bound)
     assert len(candidates) == len(set(candidates))
     rendered = {c.render() for c in candidates}
     assert "q(h0,h1) :- r(h0,e0), s(e0,h1)" in rendered
@@ -244,7 +244,7 @@ def test_streamed_layers_come_in_render_order(arity):
     # sorted atom universe
     schema = {"r": 2, "s": 1}
     for n_atoms in (1, 2):
-        layer = list(enumerate_view_candidates(arity, schema, n_atoms, lambda view: True))
+        layer = list(enumerate_view_candidates(arity, schema, n_atoms))
         assert layer and layer == sorted(layer, key=CQ.render), (arity, n_atoms)
 
 
@@ -254,39 +254,36 @@ TWO_SYMBOLS = (
 )
 
 
-def test_options_resumed_across_prefixes_yield_one_uninterrupted_pass():
-    # each prefix walks a later symbol's options afresh, and may stop early;
-    # walks that resume the stream part-way, or run side by side, see the
-    # sequence a single pass sees, and build each candidate once
+@pytest.mark.parametrize("mode", ["sound", "exact"])
+def test_each_candidate_meets_local_soundness_once_across_prefixes(monkeypatch, mode):
+    # find_all walks the second symbol's options once per viable prefix of
+    # the first; each candidate is still built and keep-tested once, and
+    # candidates_per_symbol counts the distinct options the search offered
     inst = parse_instance(TWO_SYMBOLS)
-    schema = {n: inst.symbols[n].arity for n in inst.target_names}
-    atom_bound = bounds_for(inst).atom_bound
-    kept = Counter()
+    tested, offered, walks = Counter(), {}, Counter()
+    substitute, run_search = cq_synth.cq_substitute, cq_synth.search
 
-    def stream(sym):
-        def keep(view):
-            kept[sym, view] += 1
-            views = {**dict.fromkeys(inst.source_names), sym: view}
-            return capture_check_cq(inst, views, "sound").per_mapping[0].contained
+    def counted_substitute(q_s, views, source_preds):
+        if len(views) == 1:  # only the keep test leaves the other symbol out
+            tested[next(iter(views.items()))] += 1
+        return substitute(q_s, views, source_preds)
 
-        yield None
-        for n_atoms in range(1, atom_bound + 1):
-            yield from enumerate_view_candidates(2, schema, n_atoms, keep)
+    def spied_search(symbols, options, *rest):
+        def spied(sym):
+            walks[sym] += 1
+            for view in options(sym):
+                offered.setdefault(sym, set()).add(view)
+                yield view
 
-    for sym in inst.source_names:
-        one_pass = list(stream(sym))
-        assert len(one_pass) > 5
-        kept.clear()
-        options = cq_synth._Options(stream(sym))
-        for stop, built in ((0, 0), (1, 1), (3, 3), (2, 3), (5, 5)):
-            assert list(itertools.islice(options, stop)) == one_pass[:stop]
-            assert options.n_built == built
-        walk, side = iter(options), iter(options)
-        assert [(next(walk), next(side))[0] for _ in range(7)] == one_pass[:7]
-        assert list(walk) == one_pass[7:]
-        assert list(side) == one_pass[7:]
-        assert list(options) == one_pass and options.n_built == len(one_pass)
-        assert set(kept.values()) == {1}, sym
+        return run_search(symbols, spied, *rest)
+
+    monkeypatch.setattr(cq_synth, "cq_substitute", counted_substitute)
+    monkeypatch.setattr(cq_synth, "search", spied_search)
+    report = synthesize_cq(inst, mode, "ucq", find_all=True)
+    assert report.found and walks["b"] > 1, walks
+    assert len(tested) > 5 and set(tested.values()) == {1}
+    assert {sym for sym, _ in tested} == {"a", "b"}
+    assert report.stats.candidates_per_symbol == {sym: len(offered[sym]) for sym in ("a", "b")}
 
 
 TERNARY = (
@@ -332,7 +329,7 @@ def test_three_atom_enumeration_count():
     inst = parse_instance(THREE_ATOM)
     bounds = bounds_for(inst)
     assert bounds.atom_bound == 3
-    candidates = all_layers(2, {"r": 2, "s": 2}, bounds.atom_bound, lambda view: True)
+    candidates = all_layers(2, {"r": 2, "s": 2}, bounds.atom_bound)
     assert len(candidates) == 3_311
 
 
