@@ -12,6 +12,13 @@ symbol under the head is ``s`` and moves the head one cell in direction
 ``d``; a run starts on the left endmarker in the initial state and accepts
 by reaching the right endmarker in a final state.  Moves off either
 endmarker are rejected at construction time.
+
+``two_to_one`` turns such a machine into a one-way automaton whose states
+are crossing summaries of the prefix read so far (Shepherdson).  Each
+letter's summary comes from a graph search on the new cell, one per entry
+state, that collects reach and exits together and reuses the finished
+searches of earlier entry states; acceptance is one search from the set
+of states that can enter the right endmarker.
 """
 
 from __future__ import annotations
@@ -181,8 +188,13 @@ def two_to_one(t: TwoNWA, cap: int = DEFAULT_DET_CAP, within: NWA | None = None)
     prefix consumed so far, (i) which states can enter the next cell coming
     from the initial configuration and (ii) the relation \"entering the
     prefix's last cell in state p can eventually exit right in state q\".
-    Both are updated per letter.  Without ``within`` the result is
-    deterministic and complete over the two-way automaton's alphabet.
+    Both are updated per letter.  The new relation comes from one search
+    of the new cell per entry state, which collects the states the head
+    reaches there and those it exits right in; entry states are searched
+    in order, and a search takes an earlier entry state's results whole.
+    A crossing state accepts when one search from its entry set on the
+    right endmarker reaches a final state.  Without ``within`` the result
+    is deterministic and complete over the two-way automaton's alphabet.
 
     With ``within``, the search walks pairs (``within`` state, crossing
     state) and only follows letters ``within`` can read, so it builds just
@@ -191,60 +203,89 @@ def two_to_one(t: TwoNWA, cap: int = DEFAULT_DET_CAP, within: NWA | None = None)
     every word of ``L(within)``.  ``cap`` bounds the crossing states built.
     """
     n = t.n_states
-    # per tape symbol, the left and right moves as one row bitmask per state
-    left: dict[str, list[int]] = {}
+    # per tape symbol, the left moves as (source, target) pairs and the
+    # right moves as one row bitmask per state
+    left: dict[str, list[tuple[int, int]]] = {}
     right: dict[str, list[int]] = {}
     for p, s, d, q in t.transitions:
-        rows = (left if d == LEFT else right).setdefault(s, [0] * n)
-        rows[p] |= 1 << q
+        if d == LEFT:
+            left.setdefault(s, []).append((p, q))
+        else:
+            right.setdefault(s, [0] * n)[p] |= 1 << q
     no_moves = [0] * n
     finals_mask = 0
     for f in t.finals:
         finals_mask |= 1 << f
 
-    def closure(symbol: str, rel: tuple[int, ...]) -> list[int]:
-        """Per state, the states the head can be in on this cell after
-        entering it in that state, dipping left into the prefix any number
-        of times (``rel`` brings each dip back)."""
-        rows = [1 << p | image(rel, dips) for p, dips in enumerate(left.get(symbol, no_moves))]
-        changed = True
-        while changed:
-            changed = False
-            for p, row in enumerate(rows):
-                # image inlined: this loop is most of the conversion's time
-                grown = row
-                members = row
-                while members:
-                    low = members & -members
-                    grown |= rows[low.bit_length() - 1]
-                    members ^= low
-                if grown != row:
-                    rows[p] = grown
-                    changed = True
-        return rows
+    def dips(symbol: str, rel: tuple[int, ...]) -> list[int]:
+        """Per state, where one left move on this cell and the prefix's
+        crossing relation ``rel`` bring the head back onto the cell."""
+        back = [0] * n
+        for p, q in left.get(symbol, ()):
+            back[p] |= rel[q]
+        return back
 
-    def exits(symbol: str, reach: list[int]) -> tuple[int, ...]:
-        moves = right.get(symbol, no_moves)
-        return tuple(image(moves, row) for row in reach)
+    def step(symbol: str, rel: tuple[int, ...]) -> tuple[int, ...]:
+        """The crossing relation of the prefix extended by a cell holding
+        ``symbol``: per entry state, the states that exit the cell right.
 
-    # memoized per relation: its successor per symbol, and the entry states
-    # from which it accepts on the right endmarker
-    successors: dict[tuple[int, ...], dict[str, tuple[int, ...]]] = {}
-    accepting: dict[tuple[int, ...], int] = {}
+        The head may dip left into the prefix any number of times, and
+        ``rel`` brings each dip back, so one step of the search on this
+        cell goes from ``q`` to ``rel(left moves of q)``.  Entry states
+        are searched in order; a search that meets an earlier entry state
+        takes that state's reach and exits whole instead of expanding it.
+        """
+        rights = right.get(symbol, no_moves)
+        succ = dips(symbol, rel)
+        reach = [0] * n
+        out = [0] * n
+        for p in range(n):
+            finished = (1 << p) - 1
+            seen = 1 << p
+            exits = rights[p]
+            frontier = succ[p] & ~seen
+            while frontier:
+                seen |= frontier
+                fresh = 0
+                # image inlined: these loops are most of the conversion's time
+                done = frontier & finished
+                while done:
+                    low = done & -done
+                    q = low.bit_length() - 1
+                    seen |= reach[q]
+                    exits |= out[q]
+                    done ^= low
+                todo = frontier & ~finished
+                while todo:
+                    low = todo & -todo
+                    q = low.bit_length() - 1
+                    fresh |= succ[q]
+                    exits |= rights[q]
+                    todo ^= low
+                frontier = fresh & ~seen
+            reach[p] = seen
+            out[p] = exits
+        return tuple(out)
 
-    def accept_mask(rel: tuple[int, ...]) -> int:
-        mask = accepting.get(rel)
-        if mask is None:
-            reach = closure(RIGHT_END, rel)
-            mask = 0
-            for p, row in enumerate(reach):
-                if row & finals_mask:
-                    mask |= 1 << p
-            accepting[rel] = mask
-        return mask
+    def accepts_from(e: int, rel: tuple[int, ...]) -> bool:
+        """Whether entering the right endmarker in some state of ``e``
+        reaches a final state there: one search from the whole set."""
+        succ = dips(RIGHT_END, rel)
+        seen = frontier = e
+        while frontier:
+            if frontier & finals_mask:
+                return True
+            fresh = 0
+            while frontier:
+                low = frontier & -frontier
+                fresh |= succ[low.bit_length() - 1]
+                frontier ^= low
+            frontier = fresh & ~seen
+            seen |= frontier
+        return False
 
-    # behavior over the left endmarker alone
-    t0 = exits(LEFT_END, [1 << p for p in range(n)])
+    # behavior over the left endmarker alone: nothing lies left of it
+    t0 = step(LEFT_END, ())
     e0 = t0[t.initial]
 
     alphabet = sorted(t.alphabet)
@@ -259,6 +300,8 @@ def two_to_one(t: TwoNWA, cap: int = DEFAULT_DET_CAP, within: NWA | None = None)
             for g in range(within.n_states)
         }
 
+    # memoized per relation: its successor per symbol
+    successors: dict[tuple[int, ...], dict[str, tuple[int, ...]]] = {}
     index: dict[tuple[int, tuple[int, ...]], int] = {(e0, t0): 0}
     seen = {(g, (e0, t0)) for g in guide_initials}
     queue = deque(sorted(seen))
@@ -271,7 +314,7 @@ def two_to_one(t: TwoNWA, cap: int = DEFAULT_DET_CAP, within: NWA | None = None)
         for symbol, guide_next in guide_moves[g]:
             rel2 = succ.get(symbol)
             if rel2 is None:
-                rel2 = succ[symbol] = exits(symbol, closure(symbol, rel))
+                rel2 = succ[symbol] = step(symbol, rel)
             key2 = (image(rel2, e), rel2)
             if key2 not in index:
                 if len(index) >= cap:
@@ -282,7 +325,7 @@ def two_to_one(t: TwoNWA, cap: int = DEFAULT_DET_CAP, within: NWA | None = None)
                 if (g2, key2) not in seen:
                     seen.add((g2, key2))
                     queue.append((g2, key2))
-    finals = {i for (e, rel), i in index.items() if e & accept_mask(rel)}
+    finals = {i for (e, rel), i in index.items() if accepts_from(e, rel)}
     return NWA(len(index), t.alphabet, {0}, finals, transitions)
 
 

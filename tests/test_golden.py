@@ -13,9 +13,14 @@
   null``), an exact path check with separating words in both directions
   (JSON and text), the text of a failing CQ check, and two exact ``synth``
   requests that find nothing (CQ with ``bounds``, and RPQ with an empty
-  target).  The last entry is a two-mapping RPQ ``synth`` whose second
-  target is empty: its ``monoid_size`` 3 is that of the disjoint union of
-  the two trimmed targets, not of one target joined around a separator.
+  target).  Then comes a two-mapping RPQ ``synth`` whose second target is
+  empty: its ``monoid_size`` 3 is that of the disjoint union of the two
+  trimmed targets, not of one target joined around a separator.  The last
+  ten entries pin the fold path, whose separating words come from
+  ``twoway.two_to_one``'s automaton: ``check`` of the 2RPQ instance
+  ``fold_2rpq.vs`` in sound and exact mode, with a passing and a failing
+  views file, in JSON and text, and a holding and a failing ``contain
+  --kind 2rpq``.
 - ``demos``: the stdout of each ``demos/0*.py`` script.
 
 Both were recorded with the code before union views began skipping

@@ -1,5 +1,8 @@
 import random
 
+import pytest
+
+from viewsynth.errors import CapExceeded
 from viewsynth.model import inverse
 from viewsynth.parser import parse_regex
 from viewsynth.automata import NWA, accepts, compile_regex, contains
@@ -8,6 +11,7 @@ from viewsynth.twoway import (
     LEFT,
     LEFT_END,
     RIGHT,
+    RIGHT_END,
     TwoNWA,
     accepts_two,
     contains_2rpq,
@@ -196,7 +200,9 @@ def test_guided_conversion_agrees_with_the_two_way_run_on_guide_words():
     assert outcomes.count(True) >= 40 and outcomes.count(False) >= 40
 
 
-def random_two_way_nwa(rng, labels):
+def random_nwa_to_fold(rng, labels):
+    """A small random one-way NWA over two-way labels, the input of
+    ``fold_automaton``."""
     n = rng.randint(1, 3)
     transitions = set()
     for _ in range(rng.randint(1, 6)):
@@ -208,11 +214,66 @@ def test_bounded_equivalence_against_brute_fold_search():
     rng = random.Random(19)
     labels = ("a", "a^-")
     for _ in range(8):
-        a = random_two_way_nwa(rng, labels)
+        a = random_nwa_to_fold(rng, labels)
         one = two_to_one(fold_automaton(a))
         for u in all_words(labels, 4):
             bound = 2 * len(u) + 2 * a.n_states
             assert accepts(one, u) == brute_fold_accepts(a, u, bound), (a, u)
+
+
+def random_two_nwa(rng, labels):
+    """A random genuine two-way automaton: moves on both endmarkers, left
+    and right moves on letters, and loops that leave a cell and come back
+    to it in the state they left it in, so that a crossing step's searches
+    meet states whose own search is already finished."""
+    n = rng.randint(2, 6)
+    tape = tuple(labels) + (LEFT_END, RIGHT_END)
+    transitions = {(0, LEFT_END, RIGHT, rng.randrange(n))}
+    for _ in range(rng.randint(n, 4 * n)):
+        symbol = rng.choice(tape)
+        if symbol == LEFT_END:
+            direction = RIGHT
+        elif symbol == RIGHT_END:
+            direction = LEFT
+        else:
+            direction = rng.choice((LEFT, RIGHT))
+        transitions.add((rng.randrange(n), symbol, direction, rng.randrange(n)))
+    for _ in range(rng.randint(1, 2)):
+        # on a cell holding x after one holding y (or the left endmarker),
+        # p dips left and comes back in r, which dips again and comes back
+        # in p
+        p, q, r, s = (rng.randrange(n) for _ in range(4))
+        x, y = rng.choice(labels), rng.choice(tuple(labels) + (LEFT_END,))
+        transitions |= {(p, x, LEFT, q), (q, y, RIGHT, r), (r, x, LEFT, s), (s, y, RIGHT, p)}
+    finals = {rng.randrange(n) for _ in range(rng.randint(1, 2))}
+    return TwoNWA(n, labels, 0, finals, transitions)
+
+
+def test_two_to_one_matches_genuine_two_way_runs():
+    rng = random.Random(47)
+    labels = ("x", "y")
+    words = list(all_words(labels, 4))
+    outcomes = []
+    for _ in range(60):
+        t = random_two_nwa(rng, labels)
+        guide = random_nwa_to_fold(rng, labels)
+        for within in (None, guide):
+            one = two_to_one(t, within=within)
+            for w in words:
+                if within is None or accepts(within, w):
+                    assert accepts(one, w) == accepts_two(t, w), (t, within, w)
+                    outcomes.append(accepts_two(t, w))
+    assert outcomes.count(True) >= 200 and outcomes.count(False) >= 200
+
+
+def test_two_to_one_cap_edge_is_pinned():
+    # the cap counts crossing states built; --det-cap exit codes rest on it
+    t = fold_automaton(rx2("a b b^- b c"))
+    guide = rx2("a (b|b^-)* c")
+    for within, size in ((None, 13), (guide, 11)):
+        assert two_to_one(t, cap=size, within=within).n_states == size
+        with pytest.raises(CapExceeded):
+            two_to_one(t, cap=size - 1, within=within)
 
 
 # --- contains_2rpq -----------------------------------------------------------------
