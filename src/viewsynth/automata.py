@@ -370,8 +370,8 @@ def substitute(
 def nwa_to_regex(a: NWA) -> Regex:
     """A regex denoting exactly L(a), by state elimination."""
     a = trim(a)
-    empty, _ = is_empty(a)
-    if empty:
+    # every state trim keeps lies on an accepting path
+    if not a.finals:
         return EMPTY
     start, end = a.n_states, a.n_states + 1
     edges: dict[tuple[int, int], Regex] = {}

@@ -195,10 +195,11 @@ def cmd_synth(args) -> int:
             raise InputError("--view-kind applies to cq and ucq instances only")
         # the search runs on the disjoint unions of the mappings' automata;
         # they do not depend on the search, so dump them before it can stop
-        _dump_dot(args, {
-            side: union_nwa([compile_regex(getattr(m, side)) for m in instance.mappings])
-            for side in ("target", "source")
-        })
+        if args.dot:
+            _dump_dot(args, {
+                side: union_nwa([compile_regex(getattr(m, side)) for m in instance.mappings])
+                for side in ("target", "source")
+            })
         report = synthesize(
             instance,
             mode,

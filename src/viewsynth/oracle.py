@@ -94,6 +94,9 @@ def _eval_path(db: GraphDatabase, a: NWA, two_way: bool) -> set[tuple[str, str]]
     for s, lbl, d in db.edges:
         forward.setdefault((s, lbl), set()).add(d)
         backward.setdefault((d, lbl), set()).add(s)
+    moves: dict[int, list[tuple[str, int]]] = {}
+    for p, label, q in a.transitions:
+        moves.setdefault(p, []).append((label, q))
     answers: set[tuple[str, str]] = set()
     for origin in db.nodes:
         seen = {(origin, s) for s in a.initials}
@@ -102,19 +105,16 @@ def _eval_path(db: GraphDatabase, a: NWA, two_way: bool) -> set[tuple[str, str]]
             node, state = queue.popleft()
             if state in a.finals:
                 answers.add((origin, node))
-            for (src, label), dests in a._step.items():
-                if src != state:
-                    continue
+            for label, nxt_state in moves.get(state, ()):
                 if two_way and is_inverse(label):
                     hops = backward.get((node, base_label(label)), ())
                 else:
                     hops = forward.get((node, label), ())
                 for nxt_node in hops:
-                    for nxt_state in dests:
-                        cfg = (nxt_node, nxt_state)
-                        if cfg not in seen:
-                            seen.add(cfg)
-                            queue.append(cfg)
+                    cfg = (nxt_node, nxt_state)
+                    if cfg not in seen:
+                        seen.add(cfg)
+                        queue.append(cfg)
     return answers
 
 
@@ -410,18 +410,19 @@ def brute_view_existence_rpq(
 
 
 def _has_accepting_path(a: NWA) -> bool:
+    succ: dict[int, list[int]] = {}
+    for p, _, q in a.transitions:
+        succ.setdefault(p, []).append(q)
     seen = set(a.initials)
     queue = deque(seen)
     while queue:
         s = queue.popleft()
         if s in a.finals:
             return True
-        for (src, label), dests in a._step.items():
-            if src == s and label is not None:
-                for d in dests:
-                    if d not in seen:
-                        seen.add(d)
-                        queue.append(d)
+        for d in succ.get(s, ()):
+            if d not in seen:
+                seen.add(d)
+                queue.append(d)
     return False
 
 

@@ -11,7 +11,8 @@ The two-way automaton model is fixed here as follows: the tape is
 symbol under the head is ``s`` and moves the head one cell in direction
 ``d``; a run starts on the left endmarker in the initial state and accepts
 by reaching the right endmarker in a final state.  Moves off either
-endmarker are rejected at construction time.
+endmarker are rejected at construction time, where the machine also files
+its moves per tape symbol in the two tables ``two_to_one`` reads.
 
 ``two_to_one`` turns such a machine into a one-way automaton whose states
 are crossing summaries of the prefix read so far (Shepherdson).  Each
@@ -41,7 +42,7 @@ TwoTransition = tuple[int, str, str, int]
 class TwoNWA:
     """A nondeterministic two-way word automaton with endmarkers."""
 
-    __slots__ = ("n_states", "alphabet", "initial", "finals", "transitions", "_step")
+    __slots__ = ("n_states", "alphabet", "initial", "finals", "transitions", "left", "right")
 
     def __init__(self, n_states, alphabet, initial, finals, transitions):
         self.n_states = int(n_states)
@@ -50,24 +51,27 @@ class TwoNWA:
         self.finals = frozenset(finals)
         self.transitions = frozenset(transitions)
         tape_symbols = self.alphabet | {LEFT_END, RIGHT_END}
+        # per tape symbol, the left moves as (source, target) pairs and the
+        # right moves as one row bitmask per state: the tables two_to_one reads
+        left: dict[str, list[tuple[int, int]]] = {}
+        right: dict[str, list[int]] = {}
         for p, s, d, q in self.transitions:
             if not (0 <= p < self.n_states and 0 <= q < self.n_states):
                 raise InputError(f"two-way transition ({p},{s},{d},{q}) out of range")
             if s not in tape_symbols:
                 raise InputError(f"two-way transition reads unknown symbol {s!r}")
-            if d not in (LEFT, RIGHT):
+            if d == LEFT:
+                if s == LEFT_END:
+                    raise InputError("transition moves left of the left endmarker")
+                left.setdefault(s, []).append((p, q))
+            elif d == RIGHT:
+                if s == RIGHT_END:
+                    raise InputError("transition moves right of the right endmarker")
+                right.setdefault(s, [0] * self.n_states)[p] |= 1 << q
+            else:
                 raise InputError(f"bad direction {d!r}")
-            if s == LEFT_END and d == LEFT:
-                raise InputError("transition moves left of the left endmarker")
-            if s == RIGHT_END and d == RIGHT:
-                raise InputError("transition moves right of the right endmarker")
-        step: dict[tuple[int, str], set[tuple[str, int]]] = {}
-        for p, s, d, q in self.transitions:
-            step.setdefault((p, s), set()).add((d, q))
-        self._step = {k: frozenset(v) for k, v in step.items()}
-
-    def moves(self, state: int, symbol: str) -> frozenset[tuple[str, int]]:
-        return self._step.get((state, symbol), frozenset())
+        self.left = {s: tuple(pairs) for s, pairs in left.items()}
+        self.right = {s: tuple(rows) for s, rows in right.items()}
 
     def __repr__(self):
         return (
@@ -77,23 +81,19 @@ class TwoNWA:
 
 
 def accepts_two(t: TwoNWA, word: Word) -> bool:
-    """Direct configuration-graph search; used as a cross-check in tests."""
-    n = len(word)
-
-    def symbol_at(cell: int) -> str:
-        if cell == 0:
-            return LEFT_END
-        if cell == n + 1:
-            return RIGHT_END
-        return word[cell - 1]
-
+    """Direct configuration-graph search over ``t.transitions``; a test
+    cross-check that shares no move table with ``two_to_one``."""
+    moves: dict[tuple[int, str], list[tuple[str, int]]] = {}
+    for p, s, d, q in t.transitions:
+        moves.setdefault((p, s), []).append((d, q))
+    tape = (LEFT_END, *word, RIGHT_END)
     seen = {(t.initial, 0)}
     queue = deque(seen)
     while queue:
         state, cell = queue.popleft()
-        if cell == n + 1 and state in t.finals:
+        if cell == len(tape) - 1 and state in t.finals:
             return True
-        for direction, nxt in t.moves(state, symbol_at(cell)):
+        for direction, nxt in moves.get((state, tape[cell]), ()):
             cell2 = cell + 1 if direction == RIGHT else cell - 1
             cfg = (nxt, cell2)
             if cfg not in seen:
@@ -188,10 +188,11 @@ def two_to_one(t: TwoNWA, cap: int = DEFAULT_DET_CAP, within: NWA | None = None)
     prefix consumed so far, (i) which states can enter the next cell coming
     from the initial configuration and (ii) the relation \"entering the
     prefix's last cell in state p can eventually exit right in state q\".
-    Both are updated per letter.  The new relation comes from one search
-    of the new cell per entry state, which collects the states the head
-    reaches there and those it exits right in; entry states are searched
-    in order, and a search takes an earlier entry state's results whole.
+    Both are updated per letter, from the move tables the machine files at
+    construction.  The new relation comes from one search of the new cell
+    per entry state, which collects the states the head reaches there and
+    those it exits right in; entry states are searched in order, and a
+    search takes an earlier entry state's results whole.
     A crossing state accepts when one search from its entry set on the
     right endmarker reaches a final state.  Without ``within`` the result
     is deterministic and complete over the two-way automaton's alphabet.
@@ -203,16 +204,8 @@ def two_to_one(t: TwoNWA, cap: int = DEFAULT_DET_CAP, within: NWA | None = None)
     every word of ``L(within)``.  ``cap`` bounds the crossing states built.
     """
     n = t.n_states
-    # per tape symbol, the left moves as (source, target) pairs and the
-    # right moves as one row bitmask per state
-    left: dict[str, list[tuple[int, int]]] = {}
-    right: dict[str, list[int]] = {}
-    for p, s, d, q in t.transitions:
-        if d == LEFT:
-            left.setdefault(s, []).append((p, q))
-        else:
-            right.setdefault(s, [0] * n)[p] |= 1 << q
-    no_moves = [0] * n
+    left, right = t.left, t.right
+    no_moves = (0,) * n
     finals_mask = 0
     for f in t.finals:
         finals_mask |= 1 << f

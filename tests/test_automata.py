@@ -250,6 +250,12 @@ def test_state_elimination_round_trip(r):
         assert accepts(a, w) == accepts(back, w)
 
 
+def test_unreachable_final_state_renders_empty():
+    # state 2 is final but nothing reaches it; state 1 is reachable but not final
+    a = NWA(3, {"b1"}, {0}, {2}, {(0, "b1", 1), (2, "b1", 2)})
+    assert nwa_to_regex(a).render() == "empty"
+
+
 def test_epsilon_elimination():
     clean = eliminate_epsilon(
         3,

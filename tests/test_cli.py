@@ -173,6 +173,19 @@ def test_synth_dot_dumps_before_a_stopped_search(capsys, tmp_path):
     assert (outdir / "source.dot").read_text(encoding="utf-8").startswith("digraph")
 
 
+def test_synth_without_dot_builds_no_dot_automata(capsys, monkeypatch):
+    def refuse(_automata):
+        raise AssertionError("union_nwa called without --dot")
+
+    monkeypatch.setattr("viewsynth.cli.union_nwa", refuse)
+    monkeypatch.chdir(DEMOS.parent)
+    argv = ["synth", "demos/instances/sec6_sound.vs", "--format", "json"]
+    golden = json.loads((Path(__file__).parent / "golden.json").read_text(encoding="utf-8"))
+    (entry,) = [e for e in golden["cli"] if e["argv"] == argv]
+    code, out, _ = run(capsys, *argv)
+    assert (code, out) == (0, entry["stdout"])
+
+
 @pytest.mark.parametrize("kind", ["cq", "ucq"])
 def test_synth_view_kind_on_rpq_instance_is_input_error(capsys, kind):
     code, out, err = run(capsys, "synth", "--view-kind", kind, SOUND)

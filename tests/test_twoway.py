@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from viewsynth.errors import CapExceeded
+from viewsynth.errors import CapExceeded, InputError
 from viewsynth.model import inverse
 from viewsynth.parser import parse_regex
 from viewsynth.automata import NWA, accepts, compile_regex, contains
@@ -264,6 +264,37 @@ def test_two_to_one_matches_genuine_two_way_runs():
                     assert accepts(one, w) == accepts_two(t, w), (t, within, w)
                     outcomes.append(accepts_two(t, w))
     assert outcomes.count(True) >= 200 and outcomes.count(False) >= 200
+
+
+@pytest.mark.parametrize("move, message", [
+    ((0, "x", RIGHT, 2), "two-way transition (0,x,right,2) out of range"),
+    ((0, "z", RIGHT, 1), "two-way transition reads unknown symbol 'z'"),
+    ((0, "x", "up", 1), "bad direction 'up'"),
+    ((1, LEFT_END, LEFT, 0), "transition moves left of the left endmarker"),
+    ((1, RIGHT_END, RIGHT, 0), "transition moves right of the right endmarker"),
+])
+def test_two_nwa_rejects_bad_moves(move, message):
+    with pytest.raises(InputError) as caught:
+        TwoNWA(2, {"x"}, 0, {1}, {(0, LEFT_END, RIGHT, 1), move})
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("make", [
+    lambda: fold_automaton(rx2("a b b^- b c")),
+    lambda: random_two_nwa(random.Random(53), ("x", "y")),
+])
+def test_move_tables_hold_exactly_the_transitions(make):
+    t = make()
+    rebuilt = {(p, s, LEFT, q) for s, pairs in t.left.items() for p, q in pairs}
+    rebuilt |= {
+        (p, s, RIGHT, q)
+        for s, rows in t.right.items()
+        for p, row in enumerate(rows)
+        for q in range(t.n_states)
+        if row >> q & 1
+    }
+    assert rebuilt == t.transitions
+    assert all(len(rows) == t.n_states for rows in t.right.values())
 
 
 def test_two_to_one_cap_edge_is_pinned():
