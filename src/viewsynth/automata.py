@@ -256,10 +256,10 @@ def determinize(a: NWA, cap: int = DEFAULT_DET_CAP, alphabet=None) -> NWA:
 
 def complement(a: NWA) -> NWA:
     """Complement of a complete deterministic NWA over its own alphabet."""
-    deterministic = len(a.initials) == 1 and all(
-        len(a.step(s, x)) == 1 for s in range(a.n_states) for x in a.alphabet
-    )
-    if not deterministic:
+    # the step index's keys lie in range x alphabet, so counting them will do
+    if len(a.initials) != 1 or len(a._step) != a.n_states * len(a.alphabet) or any(
+        len(targets) != 1 for targets in a._step.values()
+    ):
         raise InputError("complement requires a complete deterministic automaton")
     finals = set(range(a.n_states)) - a.finals
     return NWA(a.n_states, a.alphabet, a.initials, finals, a.transitions)
@@ -274,27 +274,37 @@ def accepts(a: NWA, word: Word) -> bool:
     return bool(current & a.finals)
 
 
-def is_empty(a: NWA) -> tuple[bool, Word | None]:
-    """Emptiness with a shortest witness (lexicographically least among them)."""
-    labels = sorted(a.labels_present())
-    # breadth-first over groups of states first reached by the same word, in
-    # word order; states reached by one word must move as one group, or a
-    # later state of the group could reach a final state by a smaller word
-    seen = set(a.initials)
-    level = [(a.initials, ())]
+def first_word(start, successors, hit, labels) -> Word | None:
+    """The shortest word, least in label order among those, that leads from
+    the node set ``start`` to a set where ``hit`` holds; ``None`` if none.
+    ``successors(nodes, label)`` is the set one step leads to from ``nodes``.
+
+    Breadth-first over groups of nodes first reached by the same word, in
+    word order; nodes reached by one word must move as one group, or a
+    later node of the group could reach a hit by a smaller word.
+    """
+    seen = set(start)
+    level = [(start, ())]
     while level:
-        for states, word in level:
-            if states & a.finals:
-                return False, word
+        for nodes, word in level:
+            if hit(nodes):
+                return word
         following = []
-        for states, word in level:
+        for nodes, word in level:
             for label in labels:
-                reached = a.step_set(states, label) - seen
+                reached = successors(nodes, label) - seen
                 if reached:
                     seen |= reached
                     following.append((reached, word + (label,)))
         level = following
-    return True, None
+    return None
+
+
+def is_empty(a: NWA) -> tuple[bool, Word | None]:
+    """Emptiness with a shortest witness (lexicographically least among them),
+    by :func:`first_word` over sets of ``a``'s states."""
+    witness = first_word(a.initials, a.step_set, a.finals.intersection, sorted(a.labels_present()))
+    return witness is None, witness
 
 
 def difference_witness(

@@ -47,7 +47,7 @@ from .congruence import (
 )
 from .report import CaptureResult, Check, SearchStats, SynthesisReport
 from .search import DEFAULT_SEARCH_BUDGET, search
-from .twoway import fold_automaton, two_to_one
+from .twoway import fold_difference
 
 # A class view is a set of monoid element indices, the union of their
 # congruence classes; the empty set is the empty view.
@@ -87,22 +87,22 @@ class _MappingChecker:
             (self.a_s.alphabet - self.source_syms) | self.a_t.alphabet | set(target_alpha)
         )
 
-    def _closure(self, a: NWA, within: NWA) -> NWA:
-        """``a``, or for 2RPQs its fold closure on the words of ``within``."""
-        if self.two_way:
-            return two_to_one(fold_automaton(a), cap=self.det_cap, within=within)
-        return a
-
     def substituted(self, realized: dict[str, "NWA | None"]) -> NWA:
         return substitute(self.a_s, realized, self.source_syms, self.alphabet)
 
+    def _difference(self, a: NWA, b: NWA) -> "Word | None":
+        """A shortest word of ``a`` outside ``b``'s closure."""
+        if self.two_way:
+            return fold_difference(a, b, cap=self.det_cap)
+        return difference_witness(a, b, cap=self.det_cap)
+
     def separating(self, sub: NWA) -> "Word | None":
         """A shortest word of ``sub`` outside the target; ``None`` when contained."""
-        return difference_witness(sub, self._closure(self.a_t, sub), cap=self.det_cap)
+        return self._difference(sub, self.a_t)
 
     def reverse_separating(self, sub: NWA) -> "Word | None":
         """A shortest target word outside ``sub``; ``None`` when contained."""
-        return difference_witness(self.a_t, self._closure(sub, self.a_t), cap=self.det_cap)
+        return self._difference(self.a_t, sub)
 
     def check(self, realized: dict[str, "NWA | None"], mode: str) -> Check:
         sub = self.substituted(realized)

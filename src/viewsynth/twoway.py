@@ -20,6 +20,10 @@ letter's summary comes from a graph search on the new cell, one per entry
 state, that collects reach and exits together and reuses the finished
 searches of earlier entry states; acceptance is one search from the set
 of states that can enter the right endmarker.
+
+``fold_difference`` decides containment on the result: guided by the
+left-hand query, ``two_to_one`` is deterministic on that query's words, so
+one search over pairs of their states finds a shortest separating word.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from collections import deque
 
 from .errors import CapExceeded, InputError
 from .model import Word, inverse
-from .automata import DEFAULT_DET_CAP, NWA, contains
+from .automata import DEFAULT_DET_CAP, NWA, first_word
 from .congruence import image
 
 LEFT_END = "⊢"   # ⊢
@@ -322,9 +326,35 @@ def two_to_one(t: TwoNWA, cap: int = DEFAULT_DET_CAP, within: NWA | None = None)
     return NWA(len(index), t.alphabet, {0}, finals, transitions)
 
 
+def fold_difference(q1: NWA, q2: NWA, cap: int = DEFAULT_DET_CAP) -> Word | None:
+    """A shortest word of L(q1) outside fold(L(q2)), least in label order
+    among those; ``None`` when L(q1) lies inside the fold.
+
+    ``two_to_one`` guided by ``q1`` gives a deterministic automaton ``d``
+    for the fold on every word of L(q1), so one search over pairs (``q1``
+    state, ``d`` state) decides the difference; a move ``d`` lacks reads a
+    label outside ``q2``'s tape and goes to the rejecting sink ``None``.
+    ``cap`` bounds the crossing states of ``d``.
+    """
+    d = two_to_one(fold_automaton(q2), cap=cap, within=q1)
+    # the sink has no key here, so its moves stay in the sink
+    moves = {(s, label): s2 for s, label, s2 in d.transitions}
+
+    def successors(pairs, label):
+        out = set()
+        for p, s in pairs:
+            s2 = moves.get((s, label))
+            out.update((p2, s2) for p2 in q1.step(p, label))
+        return out
+
+    def hit(pairs):
+        return any(p in q1.finals and s not in d.finals for p, s in pairs)
+
+    start = {(p, 0) for p in q1.initials}
+    return first_word(start, successors, hit, sorted(q1.labels_present()))
+
+
 def contains_2rpq(q1: NWA, q2: NWA, cap: int = DEFAULT_DET_CAP) -> bool:
-    """2RPQ containment: L(q1) must fall inside fold(L(q2))."""
-    # only words of L(q1) are ever read against the fold, so the conversion
-    # builds just the crossing states their prefixes reach
-    folded = two_to_one(fold_automaton(q2), cap=cap, within=q1)
-    return contains(q1, folded, cap=cap)
+    """2RPQ containment: L(q1) must fall inside fold(L(q2)); ``cap`` bounds
+    the crossing states of :func:`fold_difference`."""
+    return fold_difference(q1, q2, cap=cap) is None

@@ -649,6 +649,15 @@ def test_contain_2rpq_conversion_cap_exit_3(capsys):
     assert err == "error: two-way conversion exceeded cap of 2 states\n"
 
 
+def test_contain_2rpq_det_cap_bounds_only_crossing_states(capsys):
+    # three crossing states decide a.b against the fold of a.b.b^-.b; the
+    # walk adds no subset construction and so no sink state to the cap
+    code, out, err = run(
+        capsys, "contain", "--kind", "2rpq", "--det-cap", "3", "a.b", "a.b.b^-.b"
+    )
+    assert (code, out, err) == (0, "containment holds\n", "")
+
+
 def test_contain_ucq(capsys):
     code, _, _ = run(
         capsys,

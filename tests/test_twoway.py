@@ -1,11 +1,13 @@
 import random
+from collections import Counter
 
 import pytest
 
 from viewsynth.errors import CapExceeded, InputError
 from viewsynth.model import inverse
-from viewsynth.parser import parse_regex
-from viewsynth.automata import NWA, accepts, compile_regex, contains
+from viewsynth.parser import parse_instance, parse_regex
+from viewsynth.automata import NWA, accepts, compile_regex, contains, difference_witness, substitute
+from viewsynth.rpq_synth import capture_check
 from viewsynth.oracle import GraphDatabase, enumerate_language, eval_2rpq
 from viewsynth.twoway import (
     LEFT,
@@ -16,6 +18,7 @@ from viewsynth.twoway import (
     accepts_two,
     contains_2rpq,
     fold_automaton,
+    fold_difference,
     folds_onto,
     two_to_one,
 )
@@ -137,9 +140,9 @@ def test_two_to_one_follows_repeated_turns_on_one_cell():
 LABELS_2 = ("a", "b", "c", "a^-", "b^-", "c^-")
 
 
-def _random_query_tree(rng, leaves):
-    """A random regex tree over ``LABELS_2`` with ``leaves`` symbol leaves."""
-    parts = [rng.choice(LABELS_2) for _ in range(leaves)]
+def _random_query_tree(rng, leaves, labels=LABELS_2):
+    """A random regex tree over ``labels`` with ``leaves`` symbol leaves."""
+    parts = [rng.choice(labels) for _ in range(leaves)]
     while len(parts) > 1:
         i = rng.randrange(len(parts) - 1)
         node = (rng.choice(".|"), parts[i], parts[i + 1])
@@ -185,6 +188,85 @@ def test_guided_containment_agrees_with_the_full_construction():
         assert contains_2rpq(q1, q2) == full, (q1, q2)
         verdicts.append(full)
     assert verdicts.count(True) >= 40 and verdicts.count(False) >= 40
+
+
+def _witness_pairs(rng, count):
+    """(q1, q2) texts of four kinds in turn: q2 widens q1, by x|y, x* and
+    x.x^-.x detours, so containment holds; q2 is unrelated; q1 reads c or
+    c^-, outside q2's tape, so a walk of q1 against the fold meets the
+    rejecting sink; one side is eps or empty."""
+    for i in range(count):
+        tree = _random_query_tree(rng, rng.randint(1, 16))
+        kind = i % 4
+        if kind == 0:
+            yield _render(tree), _render(tree, rng)
+        elif kind == 1:
+            yield _render(tree), _render(_random_query_tree(rng, rng.randint(1, 16)))
+        elif kind == 2:
+            q2 = _render(_random_query_tree(rng, rng.randint(1, 16), ("a", "b", "a^-", "b^-")))
+            form = rng.choice(("{x}.{q}", "{q}.{x}", "{q}|{x}", "({q}|{x})*"))
+            yield form.format(x=rng.choice(("c", "c^-")), q=q2), q2
+        else:
+            small = _render(_random_query_tree(rng, rng.randint(1, 4)))
+            yield rng.choice([
+                ("eps", small), (small, "eps"), ("empty", small), (small, "empty"),
+                ("eps", "eps"), ("eps", "empty"), ("empty", "eps"), ("empty", "empty"),
+            ])
+
+
+def test_fold_difference_gives_the_full_construction_witness():
+    # the shortest, least separating word is a property of L(q1) minus the
+    # fold of L(q2), so the guided walk must give the very word that the
+    # one-way difference against the unguided conversion gives
+    rng = random.Random(61)
+    tally = Counter()
+    for t1, t2 in _witness_pairs(rng, 240):
+        q1, q2 = rx2(t1), rx2(t2)
+        full = difference_witness(q1, two_to_one(fold_automaton(q2)))
+        assert fold_difference(q1, q2) == full, (t1, t2)
+        tally["holds" if full is None else "fails"] += 1
+        tape = q2.alphabet | {inverse(x) for x in q2.alphabet}
+        tally["sink"] += full is not None and not tape.issuperset(full)
+    assert tally["holds"] >= 60 and tally["fails"] >= 100 and tally["sink"] >= 40, tally
+
+
+def test_two_way_check_separates_like_the_full_construction():
+    # capture_check on word views: both directions of each mapping against
+    # the one-way difference with the unguided conversion
+    rng = random.Random(67)
+    target_labels = ("b", "c", "b^-", "c^-")
+    tally = Counter()
+    for i in range(80):
+        if i % 2:
+            maps = "".join(
+                f"map {_render(_random_query_tree(rng, rng.randint(1, 3), ('a1', 'a2')))} ~> "
+                f"{_render(_random_query_tree(rng, rng.randint(1, 6), target_labels))}\n"
+                for _ in range(rng.randint(1, 2))
+            )
+            words = {s: rng.choices(target_labels, k=rng.randint(0, 3)) for s in ("a1", "a2")}
+        else:
+            # the views split u or u with a detour, so containment holds,
+            # and the reverse holds too for the detour, which folds onto u
+            u = rng.choices(target_labels, k=rng.randint(1, 4))
+            k = rng.randrange(len(u))
+            detour = u[:k] + [u[k], inverse(u[k]), u[k]] + u[k + 1 :]
+            maps = f"map a1.a2 ~> {'.'.join(u)}|{'.'.join(detour)}\n"
+            word = rng.choice((u, detour))
+            cut = rng.randint(0, len(word))
+            words = {"a1": word[:cut], "a2": word[cut:]}
+        inst = parse_instance(f"kind 2rpq\nsource a1 a2\ntarget b c\n{maps}")
+        views = {s: rx2(".".join(w) or "eps") for s, w in words.items()}
+        result = capture_check(inst, views, "exact")
+        for m, record in zip(inst.mappings, result.per_mapping):
+            a_t = compile_regex(m.target)
+            sub = substitute(compile_regex(m.source), views, inst.source_names)
+            assert record.separating == difference_witness(sub, two_to_one(fold_automaton(a_t)))
+            assert record.reverse_separating == difference_witness(
+                a_t, two_to_one(fold_automaton(sub))
+            )
+            tally["contained", record.contained] += 1
+            tally["reverse", record.reverse_contained] += 1
+    assert min(tally.values()) >= 10, tally
 
 
 def test_guided_conversion_agrees_with_the_two_way_run_on_guide_words():
