@@ -9,8 +9,6 @@ that view substitution hands to :func:`eliminate_epsilon`.
 
 from __future__ import annotations
 
-from collections import deque
-
 from .errors import CapExceeded, InputError
 from .model import (
     EPS,
@@ -29,8 +27,6 @@ from .model import (
 )
 
 DEFAULT_DET_CAP = 100_000
-
-Transition = tuple[int, str, int]
 
 
 class NWA:
@@ -87,7 +83,12 @@ class NWA:
 # ---------------------------------------------------------------------------
 
 def compile_regex(regex: Regex) -> NWA:
-    """Compile a regex into an epsilon-free NWA with |occurrences|+1 states."""
+    """Compile a regex into an epsilon-free NWA with |occurrences|+1 states.
+
+    It is trim when ``rcat``, ``ralt`` and ``rstar`` built the regex, as in
+    the parser: they leave the empty set only at the top, and every
+    position of an empty-free regex lies on an accepted word.
+    """
     positions: list[str] = []
 
     def walk(node: Regex):
@@ -160,11 +161,49 @@ def eliminate_epsilon(n_states, alphabet, initials, finals, transitions) -> NWA:
     return NWA(n_states, alphabet, initials, clean_finals, clean)
 
 
+def explore(starts, successors, labels, cap=None, what=""):
+    """Number the states a breadth-first walk meets: the ``starts`` first,
+    once each in their given order, then each state's successors in label
+    order as the walk first meets them.  ``successors(state, label)``
+    yields the states one step leads to.
+
+    Returns the numbering (a dict, in numbering order) and the moves
+    ``(i, label, j)``, one per successor.  Raises :class:`CapExceeded`
+    ``(what, cap)`` when more than ``cap`` states appear.
+    """
+    index: dict = {}
+    states: list = []
+    moves: list[tuple] = []
+
+    def number(state) -> int:
+        if cap is not None and len(index) >= cap:
+            raise CapExceeded(what, cap)
+        index[state] = len(states)
+        states.append(state)
+        return index[state]
+
+    for state in starts:
+        if state not in index:
+            number(state)
+    for i, state in enumerate(states):  # ``states`` grows as the walk meets more
+        for label in labels:
+            for nxt in successors(state, label):
+                j = index.get(nxt)
+                moves.append((i, label, number(nxt) if j is None else j))
+    return index, moves
+
+
 def trim(a: NWA) -> NWA:
-    """Restrict to states both reachable and co-reachable, renumbered densely."""
-    fwd = _reachable(a, a.initials, forward=True)
-    bwd = _reachable(a, a.finals, forward=False)
-    keep = sorted(fwd & bwd)
+    """Restrict to states both reachable and co-reachable, renumbered densely;
+    both walks are :func:`explore` over the transitions with labels ignored."""
+    forward: dict[int, list[int]] = {}
+    backward: dict[int, list[int]] = {}
+    for p, _, q in a.transitions:
+        forward.setdefault(p, []).append(q)
+        backward.setdefault(q, []).append(p)
+    fwd, _ = explore(a.initials, lambda s, _: forward.get(s, ()), (None,))
+    bwd, _ = explore(a.finals, lambda s, _: backward.get(s, ()), (None,))
+    keep = sorted(fwd.keys() & bwd.keys())
     if not keep:
         return NWA(1, a.alphabet, {0}, set(), set())
     renum = {s: i for i, s in enumerate(keep)}
@@ -181,77 +220,36 @@ def trim(a: NWA) -> NWA:
     )
 
 
-def _reachable(a: NWA, seeds, forward: bool) -> set[int]:
-    adj: dict[int, set[int]] = {}
-    for p, _, q in a.transitions:
-        src, dst = (p, q) if forward else (q, p)
-        adj.setdefault(src, set()).add(dst)
-    seen = set(seeds)
-    stack = list(seeds)
-    while stack:
-        for t in adj.get(stack.pop(), ()):
-            if t not in seen:
-                seen.add(t)
-                stack.append(t)
-    return seen
-
-
 def product(a: NWA, b: NWA, alphabet=None) -> NWA:
-    """Intersection of two languages over the shared alphabet."""
+    """Intersection of two languages over the shared alphabet: :func:`explore`
+    over pairs of states, from the initial pairs in sorted order."""
     labels = frozenset(alphabet) if alphabet is not None else a.alphabet | b.alphabet
-    index: dict[tuple[int, int], int] = {}
-    transitions = set()
-    queue: deque[tuple[int, int]] = deque()
+    starts = [(p, q) for p in sorted(a.initials) for q in sorted(b.initials)]
 
-    def intern(pair):
-        if pair not in index:
-            index[pair] = len(index)
-            queue.append(pair)
-        return index[pair]
+    def successors(pq, label):
+        p, q = pq
+        return [(p2, q2) for p2 in sorted(a.step(p, label)) for q2 in sorted(b.step(q, label))]
 
-    for p in sorted(a.initials):
-        for q in sorted(b.initials):
-            intern((p, q))
-    initials = set(index.values())
-    while queue:
-        p, q = queue.popleft()
-        src = index[(p, q)]
-        for label in sorted(labels):
-            for p2 in sorted(a.step(p, label)):
-                for q2 in sorted(b.step(q, label)):
-                    transitions.add((src, label, intern((p2, q2))))
+    index, moves = explore(starts, successors, sorted(labels))
     finals = {i for (p, q), i in index.items() if p in a.finals and q in b.finals}
-    return NWA(max(len(index), 1), labels, initials, finals, transitions)
+    return NWA(max(len(index), 1), labels, {index[pq] for pq in starts}, finals, moves)
 
 
 def determinize(a: NWA, cap: int = DEFAULT_DET_CAP, alphabet=None) -> NWA:
-    """Subset construction: a complete deterministic NWA with initial state 0
-    (a sink is added as needed).
+    """Subset construction, :func:`explore` over sets of ``a``'s states: a
+    complete deterministic NWA with initial state 0 (the empty set is the
+    sink, as needed).
 
     Raises :class:`CapExceeded` when more than ``cap`` subset states appear.
     """
     if cap <= 0:
         raise InputError("determinization cap must be positive")
     labels = sorted(frozenset(alphabet) if alphabet is not None else a.alphabet)
-    start = frozenset(a.initials)
-    index: dict[frozenset[int], int] = {start: 0}
-    transitions: set[Transition] = set()
-    finals: set[int] = set()
-    queue: deque[frozenset[int]] = deque([start])
-    while queue:
-        subset = queue.popleft()
-        src = index[subset]
-        if subset & a.finals:
-            finals.add(src)
-        for label in labels:
-            nxt = a.step_set(subset, label)
-            if nxt not in index:
-                if len(index) >= cap:
-                    raise CapExceeded("determinization", cap)
-                index[nxt] = len(index)
-                queue.append(nxt)
-            transitions.add((src, label, index[nxt]))
-    return NWA(len(index), labels, {0}, finals, transitions)
+    index, moves = explore(
+        [frozenset(a.initials)], lambda s, x: (a.step_set(s, x),), labels, cap, "determinization"
+    )
+    finals = {i for subset, i in index.items() if subset & a.finals}
+    return NWA(len(index), labels, {0}, finals, moves)
 
 
 def complement(a: NWA) -> NWA:

@@ -32,7 +32,11 @@ from .twoway import contains_2rpq
 
 
 _OPTIONS = {
-    "--det-cap": dict(type=int, default=DEFAULT_DET_CAP, help="determinization state cap"),
+    "--det-cap": dict(
+        type=int,
+        default=DEFAULT_DET_CAP,
+        help="state cap of containment checks: subset states, or crossing states for 2rpq",
+    ),
     "--monoid-cap": dict(type=int, default=DEFAULT_MONOID_CAP, help="monoid element cap"),
     "--budget": dict(type=int, default=DEFAULT_SEARCH_BUDGET, help="search budget"),
     "--dot": dict(metavar="DIR", default=None, help="dump automata as DOT files"),

@@ -12,12 +12,11 @@ set is closed under composition by construction.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
-from .errors import CapExceeded, InputError
+from .errors import InputError
 from .model import Word
-from .automata import NWA
+from .automata import NWA, explore
 
 DEFAULT_MONOID_CAP = 100_000
 
@@ -122,10 +121,12 @@ def transition_monoid(
     generators=None,
     cap: int = DEFAULT_MONOID_CAP,
 ) -> TransitionMonoid:
-    """Close ``{identity}`` under right-composition with the generator relations.
+    """Close ``{identity}`` under right-composition with the generator
+    relations, by :func:`~viewsynth.automata.explore` over relations.
 
-    Witnesses are assigned in BFS order (shortest first, ties broken by the
-    sorted generator order), so results are deterministic.
+    Each element's witness is the word the walk first meets it by: shortest
+    first, ties broken by the sorted generator order, so results are
+    deterministic.  The walk's moves are the right-multiplication table.
     """
     alphabet = tuple(sorted(a.alphabet if generators is None else generators))
     for g in alphabet:
@@ -141,30 +142,23 @@ def transition_monoid(
         gen_rel[g] = tuple(rows)
 
     identity = tuple(1 << i for i in range(n))
-    discovered: dict[tuple[int, ...], Word] = {identity: ()}
-    products: dict[tuple[tuple[int, ...], str], tuple[int, ...]] = {}
-    queue: deque[tuple[int, ...]] = deque([identity])
-    while queue:
-        rel = queue.popleft()
-        word = discovered[rel]
-        for g in alphabet:
-            nxt = products[(rel, g)] = compose(rel, gen_rel[g])
-            if nxt not in discovered:
-                if len(discovered) >= cap:
-                    raise CapExceeded("transition monoid", cap)
-                discovered[nxt] = word + (g,)
-                queue.append(nxt)
-
-    elements = tuple(sorted(discovered, key=lambda rel: rel[::-1]))
-    index_of = {rel: i for i, rel in enumerate(elements)}
-    right_mul = {(index_of[rel], g): index_of[prod] for (rel, g), prod in products.items()}
+    found, moves = explore(
+        [identity], lambda rel, g: (compose(rel, gen_rel[g]),), alphabet, cap, "transition monoid"
+    )
+    # a relation's first incoming move is the one the walk met it by
+    words = {0: ()}
+    for i, g, j in moves:
+        words.setdefault(j, words[i] + (g,))
+    order = sorted(found, key=lambda rel: rel[::-1])
+    index_of = {rel: k for k, rel in enumerate(order)}
+    canonical = [index_of[rel] for rel in found]
     return TransitionMonoid(
         alphabet=alphabet,
-        elements=elements,
-        witnesses=tuple(discovered[rel] for rel in elements),
+        elements=tuple(order),
+        witnesses=tuple(words[found[rel]] for rel in order),
         identity_index=index_of[identity],
         _index_of=index_of,
-        _right_mul=right_mul,
+        _right_mul={(canonical[i], g): canonical[j] for i, g, j in moves},
     )
 
 

@@ -44,8 +44,9 @@ from .model import (
 )
 
 _IDENT = re.compile(r"[A-Za-z0-9_]+")
-_REGEX_TOKEN = re.compile(r"\s*(?:([A-Za-z0-9_]+(?:\^-)?)|([.|+*()]))")
-_CQ_TOKEN = re.compile(r"\s*(?:([A-Za-z0-9_]+)|(:-)|([(),]))")
+# group 1 is a token, group 2 a stray character; whitespace matches neither
+_REGEX_TOKEN = re.compile(r"([A-Za-z0-9_]+(?:\^-)?|[.|+*()])|(\S)")
+_CQ_TOKEN = re.compile(r"([A-Za-z0-9_]+|:-|[(),])|(\S)")
 
 
 class _Tokens:
@@ -54,15 +55,10 @@ class _Tokens:
     def __init__(self, text: str, pattern: re.Pattern, line: int | None):
         self.line = line
         self.items: list[str] = []
-        pos = 0
-        while pos < len(text):
-            m = pattern.match(text, pos)
-            if m is None:
-                if text[pos:].strip() == "":
-                    break
-                raise ParseError(f"unexpected character {text[pos:].strip()[0]!r}", line)
-            self.items.append(next(g for g in m.groups() if g is not None))
-            pos = m.end()
+        for token, stray in pattern.findall(text):
+            if stray:
+                raise ParseError(f"unexpected character {stray!r}", line)
+            self.items.append(token)
         self.i = 0
 
     def peek(self) -> str | None:

@@ -4,7 +4,7 @@ The search space follows the congruence-class characterization: if any
 views capture a mapping set, then views that are single congruence classes
 of the target automaton (sound mode) or unions of classes (exact mode)
 also capture it, so enumerating those is complete.  With several mappings
-the target automaton is the disjoint union of their trimmed targets: one
+the target automaton is the disjoint union of their compiled targets: one
 monoid serves all mappings, and each mapping is checked on its own.
 
 The search decides each candidate in the monoid (:class:`_ClassCapture`):
@@ -34,7 +34,6 @@ from .automata import (
     is_empty,
     nwa_to_regex,
     substitute,
-    trim,
     union_nwa,
 )
 from .congruence import (
@@ -158,22 +157,21 @@ def capture_check(
 class _ClassCapture:
     """Sound capture of one mapping by class views, decided in the monoid.
 
-    The monoid is that of ``m``, the disjoint union of the trimmed targets
-    of all the instance's mappings; this mapping's trimmed target ``T`` is
-    the block of ``m`` from state ``offset`` on.  Every word of a congruence
-    class drives ``m`` by the class's relation, so a concatenation of
-    classes and other labels drives it by the product of their relations,
-    which keeps a set of ``T``'s states inside ``T``.  Walking the source
+    The monoid is that of ``m``, the disjoint union of the compiled (and so
+    trim) targets of all the instance's mappings; this mapping's target
+    ``T`` is the block of ``m`` from state ``offset`` on.  Every word of a
+    congruence class drives ``m`` by the class's relation, so a
+    concatenation of classes and other labels drives it by the product of
+    their relations, which keeps a set of ``T``'s states inside ``T``.  Walking the source
     automaton while carrying the set of ``T`` states reachable from ``T``'s
     initial states therefore reaches a final source state with set ``S``
     exactly when some word of the substituted source leads ``T`` to ``S``.
     No automaton is built per candidate.
     """
 
-    def __init__(
-        self, checker: _MappingChecker, m: NWA, monoid: TransitionMonoid, target: NWA, offset: int
-    ):
+    def __init__(self, checker: _MappingChecker, m: NWA, monoid: TransitionMonoid, offset: int):
         self.class_rows = monoid.elements
+        target = checker.a_t
         self.start = sum(1 << (s + offset) for s in target.initials)
         self.target_finals = sum(1 << (s + offset) for s in target.finals)
         a_s = checker.a_s
@@ -241,15 +239,15 @@ class _Engine:
         self.mode = mode
         self.occurring = instance.occurring_source_symbols()
         self.checkers = _checkers(instance, det_cap)
-        # the monoid automaton reads every label a source walk reads outside
-        # the source symbols; only the target symbols generate the monoid
-        targets = [trim(c.a_t) for c in self.checkers]
-        m = union_nwa(targets, alphabet=frozenset().union(*(c.alphabet for c in self.checkers)))
+        # the monoid automaton, on the compiled targets (trim, see compile_regex),
+        # reads every label a source walk reads outside the source symbols;
+        # only the target symbols generate the monoid
+        labels = frozenset().union(*(c.alphabet for c in self.checkers))
+        m = union_nwa([c.a_t for c in self.checkers], alphabet=labels)
         self.monoid = transition_monoid(m, generators=instance.target_names, cap=monoid_cap)
-        offsets = itertools.accumulate((t.n_states for t in targets), initial=0)
+        offsets = itertools.accumulate((c.a_t.n_states for c in self.checkers), initial=0)
         self.class_checks = [
-            _ClassCapture(c, m, self.monoid, t, offset)
-            for c, t, offset in zip(self.checkers, targets, offsets)
+            _ClassCapture(c, m, self.monoid, offset) for c, offset in zip(self.checkers, offsets)
         ]
         self.stats = SearchStats(mode=mode, monoid_size=len(self.monoid.elements))
 
@@ -288,15 +286,19 @@ class _Engine:
         m = len(self.monoid.elements)
         top = 1 if self.mode == "sound" else m
         stayed, size = [()] if (yield frozenset()) else [], 0
+        covered = 1  # the unions of at most ``size`` classes
         while stayed and size < top:
             size += 1
             level = _grow(stayed) if size > 1 else [(e,) for e in range(m)]
-            self.stats.prefixes_pruned += math.comb(m, size) - len(level)
+            unions = math.comb(m, size)
+            covered += unions
+            self.stats.prefixes_pruned += unions - len(level)
             stayed = []
             for union in level:
                 if (yield frozenset(union)):
                     stayed.append(union)
-        self.stats.prefixes_pruned += sum(math.comb(m, s) for s in range(size + 1, top + 1))
+        # every union of more than ``size`` and at most ``top`` classes
+        self.stats.prefixes_pruned += (2**m if top == m else 1 + m) - covered
 
 
 def _grow(stayed: list[tuple[int, ...]]) -> list[tuple[int, ...]]:

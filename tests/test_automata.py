@@ -15,14 +15,17 @@ from viewsynth.automata import (
     determinize,
     difference_witness,
     eliminate_epsilon,
+    explore,
     is_empty,
     nwa_to_regex,
     product,
     substitute,
     to_dot,
+    trim,
     word_nwa,
 )
 from viewsynth.oracle import enumerate_language
+from viewsynth.parser import parse_regex
 
 from .conftest import all_words, bounded_language, rx
 
@@ -94,8 +97,47 @@ def test_determinize_two_initial_states():
 
 
 def test_determinize_cap():
-    with pytest.raises(CapExceeded):
-        determinize(rx("(b1|b2)*.b1.(b1|b2).(b1|b2).(b1|b2)"), cap=4)
+    # the subset construction of this NWA has 17 states, the sink included
+    a = rx("(b1|b2)*.b1.(b1|b2).(b1|b2).(b1|b2)")
+    assert determinize(a, cap=17).n_states == 17
+    for cap in (4, 16):
+        with pytest.raises(CapExceeded, match=f"^determinization exceeded cap of {cap} states$"):
+            determinize(a, cap=cap)
+
+
+def test_explore_numbers_states_breadth_first():
+    graph = {("s", "y"): ["t", "v"], ("s", "x"): ["u"], ("t", "x"): ["u"], ("u", "y"): ["u"]}
+
+    def successors(state, label):
+        return graph.get((state, label), [])
+
+    # duplicate starts are numbered once; labels go in the given order, not sorted
+    index, moves = explore(["s", "t", "s"], successors, ("y", "x"))
+    assert list(index.items()) == [("s", 0), ("t", 1), ("v", 2), ("u", 3)]
+    assert moves == [(0, "y", 1), (0, "y", 2), (0, "x", 3), (1, "x", 3), (3, "y", 3)]
+    assert explore(["s"], successors, ("y", "x"), cap=4)[0] == index
+    with pytest.raises(CapExceeded, match="^walk exceeded cap of 3 states$"):
+        explore(["s"], successors, ("y", "x"), cap=3, what="walk")
+
+
+def assert_trim(a):
+    t = trim(a)
+    assert (t.n_states, t.initials, t.finals, t.transitions, t.alphabet) == (
+        a.n_states, a.initials, a.finals, a.transitions, a.alphabet
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(regexes())
+def test_compiled_regexes_are_trim(r):
+    # rcat, ralt and rstar, and so the parser, leave the empty set only at the top
+    assert_trim(compile_regex(r))
+    assert_trim(compile_regex(parse_regex(r.render())))
+
+
+@pytest.mark.parametrize("text", ["a.empty", "(a|empty)*", "a.(b|empty).c"])
+def test_compiled_regexes_with_empty_are_trim(text):
+    assert_trim(rx(text))
 
 
 def test_complement_requires_complete():

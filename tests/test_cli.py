@@ -7,6 +7,7 @@ import pytest
 from viewsynth.automata import compile_regex, to_dot
 from viewsynth.cli import main
 from viewsynth.parser import parse_instance
+from viewsynth.rpq_synth import synthesize
 
 from .conftest import rx
 
@@ -160,6 +161,25 @@ def test_synth_dot_dumps_combined_automata(capsys, tmp_path):
         assert "#" not in labels
         assert text.count("hidden ->") == 2  # one initial state per mapping
     assert "b2" in (outdir / "target.dot").read_text(encoding="utf-8")
+
+
+def test_synth_dot_target_is_the_monoid_automaton(capsys, tmp_path):
+    two = str(DEMOS / "instances" / "two_mappings.vs")
+    code, _, _ = run(capsys, "synth", "--dot", str(tmp_path), two)
+    assert code == 0
+    text = (tmp_path / "target.dot").read_text(encoding="utf-8")
+    states = sum(line.startswith("  q") and "[shape=" in line for line in text.splitlines())
+    report = synthesize(parse_instance(Path(two).read_text(encoding="utf-8")))
+    assert states == len(report.monoid.elements[0])
+
+
+@pytest.mark.parametrize("command", ["contain", "check", "synth"])
+def test_det_cap_help_names_both_caps(capsys, command):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "state cap of containment checks: subset states, or crossing states for 2rpq" in text
 
 
 def test_synth_dot_dumps_before_a_stopped_search(capsys, tmp_path):

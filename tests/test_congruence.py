@@ -96,6 +96,13 @@ def test_monoid_cap():
         transition_monoid(rx("b1.b2"), cap=2)
 
 
+def test_monoid_cap_counts_every_element():
+    a = rx("(b1.b2)*|b2.b1")
+    assert len(transition_monoid(a, cap=9).elements) == 9
+    with pytest.raises(CapExceeded, match="^transition monoid exceeded cap of 8 states$"):
+        transition_monoid(a, cap=8)
+
+
 def test_monoid_canonical_order(chain_monoid):
     encodings = [encoding(e) for e in chain_monoid.elements]
     assert encodings == sorted(encodings)

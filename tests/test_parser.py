@@ -84,6 +84,9 @@ CQ_HEAD = "kind cq\nsource a/2\ntarget r/2\n"
         ("kind cq\nsource a/0\n", None, "bad arity in 'a/0'", 2),
         (CQ_HEAD + "map q(x) :- a(x,:-) ~> q(x) :- r(x,x)\n", None, "bad term ':-'", 4),
         (CQ_HEAD + "map q(x) :- ((x) ~> q(x) :- r(x,x)\n", None, "bad predicate '('", 4),
+        (CQ_HEAD + "map q(x) :- a(x,x) ~> q(x) :- r(x,x) & r(x,x)\n", None,
+         "unexpected character '&'", 4),
+        (SEC6_SOUND, "view a1 = b1 ^ b2\n", "unexpected character '^'", 1),
         (
             CQ_HEAD + "map q(x) :- a(x,x) ~> q(x) :- r(x,x) ; q(x) :- r(x,y)\n",
             None,
