@@ -4,7 +4,10 @@ NWAs are immutable after construction; every operation below is a pure
 function, so automata can be shared freely across threads.  Every NWA is
 epsilon-free: its constructor rejects any label outside the alphabet, the
 epsilon label ``None`` included.  Epsilon edges exist only in the raw parts
-that view substitution hands to :func:`eliminate_epsilon`.
+that view substitution hands to :func:`eliminate_epsilon`.  A set of
+states is a bitmask, and an NWA files its moves as ``rows``: per label, one
+successor bitmask per state, the label's relation as :mod:`congruence`
+writes it.  Every kernel below steps sets through the rows by :func:`image`.
 """
 
 from __future__ import annotations
@@ -29,6 +32,30 @@ from .model import (
 DEFAULT_DET_CAP = 100_000
 
 
+def mask(states) -> int:
+    """The bitmask of a set of states."""
+    return sum(1 << s for s in states)
+
+
+def bits(members: int):
+    """The states of the bitmask ``members``, in increasing order."""
+    while members:
+        low = members & -members
+        yield low.bit_length() - 1
+        members ^= low
+
+
+def image(rows, members: int) -> int:
+    """The union of ``rows[i]`` over the bits ``i`` set in ``members``: the
+    states a relation given as bitset rows reaches from the set ``members``."""
+    acc = 0
+    while members:
+        low = members & -members
+        acc |= rows[low.bit_length() - 1]
+        members ^= low
+    return acc
+
+
 class NWA:
     """A nondeterministic word automaton with dense integer states.
 
@@ -36,9 +63,11 @@ class NWA:
     NWA with one initial state and one successor per state and symbol.
     Every label is a symbol of the alphabet, so an NWA has no epsilon
     transitions; :func:`eliminate_epsilon` is the one place they exist.
+    ``rows[label]`` holds, per state, the bitmask of its ``label``
+    successors, for every label of the alphabet.
     """
 
-    __slots__ = ("n_states", "alphabet", "initials", "finals", "transitions", "_step")
+    __slots__ = ("n_states", "alphabet", "initials", "finals", "transitions", "rows")
 
     def __init__(self, n_states, alphabet, initials, finals, transitions):
         self.n_states = int(n_states)
@@ -46,27 +75,17 @@ class NWA:
         self.initials = frozenset(initials)
         self.finals = frozenset(finals)
         self.transitions = frozenset(transitions)
+        rows = {a: [0] * self.n_states for a in self.alphabet}
         for p, a, q in self.transitions:
             if not (0 <= p < self.n_states and 0 <= q < self.n_states):
                 raise InputError(f"transition ({p},{a},{q}) leaves the state range")
-            if a not in self.alphabet:
+            if a not in rows:
                 raise InputError(f"transition label {a!r} outside the alphabet")
+            rows[a][p] |= 1 << q
         for s in self.initials | self.finals:
             if not 0 <= s < self.n_states:
                 raise InputError(f"state {s} out of range")
-        step: dict[tuple[int, str], set[int]] = {}
-        for p, a, q in self.transitions:
-            step.setdefault((p, a), set()).add(q)
-        self._step = {k: frozenset(v) for k, v in step.items()}
-
-    def step(self, state: int, label: str) -> frozenset[int]:
-        return self._step.get((state, label), frozenset())
-
-    def step_set(self, states, label) -> frozenset[int]:
-        out: set[int] = set()
-        for s in states:
-            out |= self.step(s, label)
-        return frozenset(out)
+        self.rows = {a: tuple(row) for a, row in rows.items()}
 
     def labels_present(self) -> frozenset[str]:
         return frozenset(a for _, a, _ in self.transitions)
@@ -228,16 +247,17 @@ def product(a: NWA, b: NWA, alphabet=None) -> NWA:
 
     def successors(pq, label):
         p, q = pq
-        return [(p2, q2) for p2 in sorted(a.step(p, label)) for q2 in sorted(b.step(q, label))]
+        return [(p2, q2) for p2 in bits(a.rows[label][p]) for q2 in bits(b.rows[label][q])]
 
-    index, moves = explore(starts, successors, sorted(labels))
+    # a label outside either alphabet moves nowhere
+    index, moves = explore(starts, successors, sorted(labels & a.alphabet & b.alphabet))
     finals = {i for (p, q), i in index.items() if p in a.finals and q in b.finals}
     return NWA(max(len(index), 1), labels, {index[pq] for pq in starts}, finals, moves)
 
 
 def determinize(a: NWA, cap: int = DEFAULT_DET_CAP, alphabet=None) -> NWA:
-    """Subset construction, :func:`explore` over sets of ``a``'s states: a
-    complete deterministic NWA with initial state 0 (the empty set is the
+    """Subset construction, :func:`explore` over bitmasks of ``a``'s states:
+    a complete deterministic NWA with initial state 0 (the empty set is the
     sink, as needed).
 
     Raises :class:`CapExceeded` when more than ``cap`` subset states appear.
@@ -245,52 +265,55 @@ def determinize(a: NWA, cap: int = DEFAULT_DET_CAP, alphabet=None) -> NWA:
     if cap <= 0:
         raise InputError("determinization cap must be positive")
     labels = sorted(frozenset(alphabet) if alphabet is not None else a.alphabet)
+    rows = {x: a.rows.get(x, (0,) * a.n_states) for x in labels}
     index, moves = explore(
-        [frozenset(a.initials)], lambda s, x: (a.step_set(s, x),), labels, cap, "determinization"
+        [mask(a.initials)], lambda s, x: (image(rows[x], s),), labels, cap, "determinization"
     )
-    finals = {i for subset, i in index.items() if subset & a.finals}
-    return NWA(len(index), labels, {0}, finals, moves)
+    finals = mask(a.finals)
+    return NWA(len(index), labels, {0}, {i for subset, i in index.items() if subset & finals}, moves)
 
 
 def complement(a: NWA) -> NWA:
-    """Complement of a complete deterministic NWA over its own alphabet."""
-    # the step index's keys lie in range x alphabet, so counting them will do
-    if len(a.initials) != 1 or len(a._step) != a.n_states * len(a.alphabet) or any(
-        len(targets) != 1 for targets in a._step.values()
+    """Complement of a complete deterministic NWA over its own alphabet (a
+    move per state and label, no more): a copy sharing its moves, finals flipped."""
+    if len(a.initials) != 1 or len(a.transitions) != a.n_states * len(a.alphabet) or any(
+        0 in rows for rows in a.rows.values()
     ):
         raise InputError("complement requires a complete deterministic automaton")
-    finals = set(range(a.n_states)) - a.finals
-    return NWA(a.n_states, a.alphabet, a.initials, finals, a.transitions)
+    flipped = NWA.__new__(NWA)
+    for field in NWA.__slots__:
+        setattr(flipped, field, getattr(a, field))
+    flipped.finals = frozenset(range(a.n_states)) - a.finals
+    return flipped
 
 
 def accepts(a: NWA, word: Word) -> bool:
-    current = frozenset(a.initials)
+    current = mask(a.initials)
     for label in word:
-        current = a.step_set(current, label)
-        if not current:
-            return False
-    return bool(current & a.finals)
+        current = image(a.rows[label], current) if label in a.rows else 0
+    return bool(current & mask(a.finals))
 
 
-def first_word(start, successors, hit, labels) -> Word | None:
+def first_word(start: int, successors, hit: int, labels) -> Word | None:
     """The shortest word, least in label order among those, that leads from
-    the node set ``start`` to a set where ``hit`` holds; ``None`` if none.
-    ``successors(nodes, label)`` is the set one step leads to from ``nodes``.
+    the node set ``start`` to a set meeting ``hit``; ``None`` if none.  Node
+    sets are bitmasks, and ``successors(nodes, label)`` is the set one step
+    leads to from ``nodes``.
 
     Breadth-first over groups of nodes first reached by the same word, in
     word order; nodes reached by one word must move as one group, or a
     later node of the group could reach a hit by a smaller word.
     """
-    seen = set(start)
+    seen = start
     level = [(start, ())]
     while level:
         for nodes, word in level:
-            if hit(nodes):
+            if nodes & hit:
                 return word
         following = []
         for nodes, word in level:
             for label in labels:
-                reached = successors(nodes, label) - seen
+                reached = successors(nodes, label) & ~seen
                 if reached:
                     seen |= reached
                     following.append((reached, word + (label,)))
@@ -300,8 +323,14 @@ def first_word(start, successors, hit, labels) -> Word | None:
 
 def is_empty(a: NWA) -> tuple[bool, Word | None]:
     """Emptiness with a shortest witness (lexicographically least among them),
-    by :func:`first_word` over sets of ``a``'s states."""
-    witness = first_word(a.initials, a.step_set, a.finals.intersection, sorted(a.labels_present()))
+    by :func:`first_word` over bitmasks of ``a``'s states stepped by
+    :func:`image`."""
+    witness = first_word(
+        mask(a.initials),
+        lambda s, x: image(a.rows[x], s),
+        mask(a.finals),
+        sorted(a.labels_present()),
+    )
     return witness is None, witness
 
 

@@ -4,32 +4,23 @@ Every word ``w`` over the target alphabet induces a binary relation on the
 states of the target NWA (``p`` relates to ``q`` when reading ``w`` from
 ``p`` can reach ``q``).  Words inducing the same relation form one
 congruence class.  A relation over ``n`` states is a tuple of ``n`` row
-bitmasks: bit ``j`` of ``rows[i]`` is set when ``(i, j)`` is in it.  Only
-relations actually realized by some word are enumerated: unrealized
-relations have empty classes and can never serve as views, and the realized
-set is closed under composition by construction.
+bitmasks: bit ``j`` of ``rows[i]`` is set when ``(i, j)`` is in it.  A
+letter's relation is the NWA's own ``rows[letter]``, and a word's is the
+composition of its letters'.  Only relations realized by some word are
+enumerated: unrealized relations have empty classes and can never serve as
+views, and the realized set is closed under composition by construction.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from .errors import InputError
 from .model import Word
-from .automata import NWA, explore
+from .automata import NWA, bits, explore, image
 
 DEFAULT_MONOID_CAP = 100_000
-
-
-def image(rows, members: int) -> int:
-    """The union of ``rows[i]`` over the bits ``i`` set in ``members``: the
-    states a relation given as bitset rows reaches from the set ``members``."""
-    acc = 0
-    while members:
-        low = members & -members
-        acc |= rows[low.bit_length() - 1]
-        members ^= low
-    return acc
 
 
 def compose(r: tuple[int, ...], s: tuple[int, ...]) -> tuple[int, ...]:
@@ -39,33 +30,18 @@ def compose(r: tuple[int, ...], s: tuple[int, ...]) -> tuple[int, ...]:
 
 def pairs(r: tuple[int, ...]) -> list[tuple[int, int]]:
     """The ``(i, j)`` pairs of a relation, in sorted order."""
-    out = []
-    for i, row in enumerate(r):
-        while row:
-            low = row & -row
-            out.append((i, low.bit_length() - 1))
-            row ^= low
-    return out
+    return [(i, j) for i, row in enumerate(r) for j in bits(row)]
 
 
 def relation_of_word(a: NWA, word: Word) -> tuple[int, ...]:
-    """The relation ``{(p, q) : q reachable from p by reading word}``."""
+    """The relation ``{(p, q) : q reachable from p by reading word}``: the
+    composition of the rows ``a`` files for the word's letters."""
     for label in word:
         if label not in a.alphabet:
             raise InputError(f"symbol {label!r} outside the automaton's alphabet")
-    n = a.n_states
-    rows = []
-    for p in range(n):
-        current = {p}
-        for label in word:
-            current = set(a.step_set(current, label))
-            if not current:
-                break
-        mask = 0
-        for q in current:
-            mask |= 1 << q
-        rows.append(mask)
-    return tuple(rows)
+    return functools.reduce(
+        compose, (a.rows[x] for x in word), tuple(1 << i for i in range(a.n_states))
+    )
 
 
 @dataclass(frozen=True)
@@ -132,18 +108,9 @@ def transition_monoid(
     for g in alphabet:
         if g not in a.alphabet:
             raise InputError(f"generator {g!r} outside the automaton's alphabet")
-    n = a.n_states
-    gen_rel = {}
-    for g in alphabet:
-        rows = [0] * n
-        for p, x, q in a.transitions:
-            if x == g:
-                rows[p] |= 1 << q
-        gen_rel[g] = tuple(rows)
-
-    identity = tuple(1 << i for i in range(n))
+    identity = tuple(1 << i for i in range(a.n_states))
     found, moves = explore(
-        [identity], lambda rel, g: (compose(rel, gen_rel[g]),), alphabet, cap, "transition monoid"
+        [identity], lambda rel, g: (compose(rel, a.rows[g]),), alphabet, cap, "transition monoid"
     )
     # a relation's first incoming move is the one the walk met it by
     words = {0: ()}

@@ -5,7 +5,8 @@ reachability, word enumeration, homomorphism enumeration) without calling
 into the determinize/complement containment pipeline, so agreement between
 this module and the engine is meaningful evidence.  The only shared code is
 the errors, the model's data types, from automata the NWA type with regex
-compilation and epsilon elimination, and the parser's line reader.
+compilation and epsilon elimination, and the parser's line reader; of an
+NWA it reads the fields it is built from, not the ``rows`` the kernels read.
 """
 
 from __future__ import annotations
@@ -251,8 +252,17 @@ def brute_view_candidates(
 # Word-level helpers (no determinization anywhere below)
 # ---------------------------------------------------------------------------
 
+def _stepper(a: NWA):
+    """``step(states, label)``, read off ``a.transitions``, not the engine's rows."""
+    moves: dict[tuple[int, str], list[int]] = {}
+    for p, x, q in a.transitions:
+        moves.setdefault((p, x), []).append(q)
+    return lambda states, label: frozenset(q for p in states for q in moves.get((p, label), ()))
+
+
 def enumerate_language(a: NWA, max_len: int, cap: int | None = None) -> list[Word]:
     """All accepted words of length at most ``max_len``, shortest first."""
+    step = _stepper(a)
     out: list[Word] = []
     layer: dict[Word, frozenset[int]] = {(): frozenset(a.initials)}
     for _ in range(max_len + 1):
@@ -264,7 +274,7 @@ def enumerate_language(a: NWA, max_len: int, cap: int | None = None) -> list[Wor
                 if cap is not None and len(out) > cap:
                     raise BudgetExceeded("language enumeration", cap)
             for label in sorted(a.labels_present()):
-                nxt = a.step_set(states, label)
+                nxt = step(states, label)
                 if nxt:
                     next_layer[word + (label,)] = nxt
         layer = next_layer
@@ -278,6 +288,7 @@ def nfa_contained_brute(a: NWA, b: NWA) -> bool:
     pairs (reachable subset of a, reachable subset of b) directly.
     """
     labels = sorted(a.labels_present() | b.alphabet)
+    step_a, step_b = _stepper(a), _stepper(b)
     start = (frozenset(a.initials), frozenset(b.initials))
     seen = {start}
     queue = deque([start])
@@ -286,10 +297,10 @@ def nfa_contained_brute(a: NWA, b: NWA) -> bool:
         if (sa & a.finals) and not (sb & b.finals):
             return False
         for label in labels:
-            na = a.step_set(sa, label)
+            na = step_a(sa, label)
             if not na:
                 continue
-            nb = b.step_set(sb, label)
+            nb = step_b(sb, label)
             cfg = (na, nb)
             if cfg not in seen:
                 seen.add(cfg)
@@ -338,14 +349,16 @@ def _stabilization_length(targets: list[NWA], alphabet, max_len: int) -> int:
     lengths, every longer word behaves like a shorter one inside every
     target automaton, so capture checks never need longer view words.
     """
+    steps = [(t, _stepper(t)) for t in targets]
+
     def relation(word):
         rels = []
-        for t in targets:
+        for t, step in steps:
             pairs = []
             for p in range(t.n_states):
                 cur = {p}
                 for lbl in word:
-                    cur = set(t.step_set(cur, lbl))
+                    cur = step(cur, lbl)
                 pairs.extend((p, q) for q in cur)
             rels.append(frozenset(pairs))
         return tuple(rels)

@@ -31,7 +31,9 @@ from .automata import (
     NWA,
     compile_regex,
     difference_witness,
+    image,
     is_empty,
+    mask,
     nwa_to_regex,
     substitute,
     union_nwa,
@@ -40,8 +42,6 @@ from .congruence import (
     DEFAULT_MONOID_CAP,
     TransitionMonoid,
     class_automaton,
-    image,
-    relation_of_word,
     transition_monoid,
 )
 from .report import CaptureResult, Check, SearchStats, SynthesisReport
@@ -172,22 +172,19 @@ class _ClassCapture:
     def __init__(self, checker: _MappingChecker, m: NWA, monoid: TransitionMonoid, offset: int):
         self.class_rows = monoid.elements
         target = checker.a_t
-        self.start = sum(1 << (s + offset) for s in target.initials)
-        self.target_finals = sum(1 << (s + offset) for s in target.finals)
+        self.start = mask(target.initials) << offset
+        self.target_finals = mask(target.finals) << offset
         a_s = checker.a_s
         self.source_initials = a_s.initials
         self.source_finals = a_s.finals
         self.symbols = a_s.labels_present() & checker.source_syms
-        # per source state: (source symbol, None, q) or (None, rows, q)
-        label_rows = {
-            x: relation_of_word(m, (x,)) for x in a_s.labels_present() - checker.source_syms
-        }
+        # per source state: (source symbol, None, q) or (None, m's rows of the label, q)
         self.edges: list[list] = [[] for _ in range(a_s.n_states)]
         for p, x, q in a_s.transitions:
             if x in checker.source_syms:
                 self.edges[p].append((x, None, q))
             else:
-                self.edges[p].append((None, label_rows[x], q))
+                self.edges[p].append((None, m.rows[x], q))
 
     def capture(self, views: ClassViews) -> tuple[bool, bool]:
         """(nonempty, contained) of the substituted source.

@@ -32,8 +32,7 @@ from collections import deque
 
 from .errors import CapExceeded, InputError
 from .model import Word, inverse
-from .automata import DEFAULT_DET_CAP, NWA, first_word
-from .congruence import image
+from .automata import DEFAULT_DET_CAP, NWA, bits, first_word, image, mask
 
 LEFT_END = "⊢"   # ⊢
 RIGHT_END = "⊣"  # ⊣
@@ -210,9 +209,7 @@ def two_to_one(t: TwoNWA, cap: int = DEFAULT_DET_CAP, within: NWA | None = None)
     n = t.n_states
     left, right = t.left, t.right
     no_moves = (0,) * n
-    finals_mask = 0
-    for f in t.finals:
-        finals_mask |= 1 << f
+    finals_mask = mask(t.finals)
 
     def dips(symbol: str, rel: tuple[int, ...]) -> list[int]:
         """Per state, where one left move on this cell and the prefix's
@@ -272,12 +269,7 @@ def two_to_one(t: TwoNWA, cap: int = DEFAULT_DET_CAP, within: NWA | None = None)
         while frontier:
             if frontier & finals_mask:
                 return True
-            fresh = 0
-            while frontier:
-                low = frontier & -frontier
-                fresh |= succ[low.bit_length() - 1]
-                frontier ^= low
-            frontier = fresh & ~seen
+            frontier = image(succ, frontier) & ~seen
             seen |= frontier
         return False
 
@@ -291,9 +283,9 @@ def two_to_one(t: TwoNWA, cap: int = DEFAULT_DET_CAP, within: NWA | None = None)
         guide_moves = {0: [(symbol, (0,)) for symbol in alphabet]}
     else:
         guide_initials = sorted(within.initials)
+        shared = [(symbol, within.rows[symbol]) for symbol in alphabet if symbol in within.rows]
         guide_moves = {
-            g: [(symbol, sorted(within.step(g, symbol)))
-                for symbol in alphabet if within.step(g, symbol)]
+            g: [(symbol, list(bits(rows[g]))) for symbol, rows in shared if rows[g]]
             for g in range(within.n_states)
         }
 
@@ -332,26 +324,28 @@ def fold_difference(q1: NWA, q2: NWA, cap: int = DEFAULT_DET_CAP) -> Word | None
 
     ``two_to_one`` guided by ``q1`` gives a deterministic automaton ``d``
     for the fold on every word of L(q1), so one search over pairs (``q1``
-    state, ``d`` state) decides the difference; a move ``d`` lacks reads a
-    label outside ``q2``'s tape and goes to the rejecting sink ``None``.
+    state ``p``, ``d`` state ``s``), each the bit ``s * n + p`` of one
+    bitmask, decides the difference; a move ``d`` lacks reads a label
+    outside ``q2``'s tape and goes to the rejecting sink ``d.n_states``.
     ``cap`` bounds the crossing states of ``d``.
     """
     d = two_to_one(fold_automaton(q2), cap=cap, within=q1)
+    n, sink = q1.n_states, d.n_states
+    block = (1 << n) - 1
     # the sink has no key here, so its moves stay in the sink
     moves = {(s, label): s2 for s, label, s2 in d.transitions}
 
     def successors(pairs, label):
-        out = set()
-        for p, s in pairs:
-            s2 = moves.get((s, label))
-            out.update((p2, s2) for p2 in q1.step(p, label))
+        out = 0
+        while pairs:
+            s = ((pairs & -pairs).bit_length() - 1) // n
+            here = pairs >> (s * n) & block
+            out |= image(q1.rows[label], here) << (moves.get((s, label), sink) * n)
+            pairs ^= here << (s * n)
         return out
 
-    def hit(pairs):
-        return any(p in q1.finals and s not in d.finals for p, s in pairs)
-
-    start = {(p, 0) for p in q1.initials}
-    return first_word(start, successors, hit, sorted(q1.labels_present()))
+    hit = sum(mask(q1.finals) << (s * n) for s in range(sink + 1) if s not in d.finals)
+    return first_word(mask(q1.initials), successors, hit, sorted(q1.labels_present()))
 
 
 def contains_2rpq(q1: NWA, q2: NWA, cap: int = DEFAULT_DET_CAP) -> bool:

@@ -164,6 +164,53 @@ def test_nwa_rejects_epsilon_label():
         NWA(2, {"b1"}, {0}, {1}, {(0, None, 1)})
 
 
+def random_nwa(rng, labels=("b1", "b2", "b3")):
+    """1-6 states, one or two initial states, states from ``live`` on entered
+    by no move, dead states, and the label ``b3`` on no move."""
+    n = rng.randint(1, 6)
+    live = rng.randint(1, n)
+    transitions = {
+        (rng.randrange(n), rng.choice(labels[:2]), rng.randrange(live))
+        for _ in range(rng.randint(0, 3 * n))
+    }
+    initials = {rng.randrange(n) for _ in range(rng.randint(1, 2))}
+    finals = {rng.randrange(n) for _ in range(rng.randint(0, 2))}
+    return NWA(n, labels, initials, finals, transitions)
+
+
+def test_rows_hold_exactly_the_transitions():
+    # many tests referee with accepts, which steps on the rows the kernels
+    # read: this pins the rows to the transitions and accepts to the oracle,
+    # which reads only the transitions
+    rng = random.Random(59)
+    words = all_words(("b1", "b2", "b3"), 4)
+    for _ in range(80):
+        a = random_nwa(rng)
+        rebuilt = {
+            (p, x, q)
+            for x, rows in a.rows.items()
+            for p, row in enumerate(rows)
+            for q in range(a.n_states)
+            if row >> q & 1
+        }
+        assert rebuilt == a.transitions
+        assert set(a.rows) == a.alphabet
+        assert all(len(rows) == a.n_states for rows in a.rows.values())
+        assert [w for w in words if accepts(a, w)] == enumerate_language(a, 4)
+
+
+def test_complement_is_the_automaton_with_its_finals_flipped():
+    rng = random.Random(61)
+    for _ in range(60):
+        d = determinize(random_nwa(rng))
+        finals = d.finals
+        flipped = set(range(d.n_states)) - d.finals
+        built = NWA(d.n_states, d.alphabet, d.initials, flipped, d.transitions)
+        c = complement(d)
+        assert [getattr(c, f) for f in NWA.__slots__] == [getattr(built, f) for f in NWA.__slots__]
+        assert d.finals == finals
+
+
 # --- containment ------------------------------------------------------------
 
 def test_contains_examples():
