@@ -9,8 +9,9 @@ monoid serves all mappings, and each mapping is checked on its own.
 
 The search decides each candidate in the monoid (:class:`_ClassCapture`):
 nonemptiness and sound containment follow from the relations the classes
-induce on the target automaton.  Automata are built only for exact mode's
-reverse containment of the candidates that pass, and for the final report.
+induce on the target automaton, and exact mode's reverse containment from
+the monoid's multiplication.  Automata are built only for the final report
+and for :func:`capture_check`, which stays the referee of the monoid.
 Sound containment is antitone in the views and nonemptiness depends only
 on which views are empty, while reverse containment only grows with them
 (Calvanese et al., PODS 1999).  So a symbol's unions are walked level by
@@ -23,12 +24,13 @@ import itertools
 import math
 import time
 
-from .errors import BudgetExceeded, InputError
+from .errors import BudgetExceeded, CapExceeded, InputError
 from .model import EMPTY as EMPTY_REGEX
 from .model import Mapping, ProblemInstance, Regex, UCQ, Word
 from .automata import (
     DEFAULT_DET_CAP,
     NWA,
+    bits,
     compile_regex,
     difference_witness,
     image,
@@ -155,7 +157,7 @@ def capture_check(
 
 
 class _ClassCapture:
-    """Sound capture of one mapping by class views, decided in the monoid.
+    """Capture of one mapping by class views, decided in the monoid.
 
     The monoid is that of ``m``, the disjoint union of the compiled (and so
     trim) targets of all the instance's mappings; this mapping's target
@@ -165,11 +167,16 @@ class _ClassCapture:
     their relations, which keeps a set of ``T``'s states inside ``T``.  Walking the source
     automaton while carrying the set of ``T`` states reachable from ``T``'s
     initial states therefore reaches a final source state with set ``S``
-    exactly when some word of the substituted source leads ``T`` to ``S``.
-    No automaton is built per candidate.
+    exactly when some word of the substituted source leads ``T`` to ``S``:
+    :meth:`capture` decides nonemptiness and sound containment so.  With
+    ``exact``, the tables of :meth:`reverse_contained` are built too, and it
+    decides exact mode's reverse containment.  No automaton is built per
+    candidate.
     """
 
-    def __init__(self, checker: _MappingChecker, m: NWA, monoid: TransitionMonoid, offset: int):
+    def __init__(
+        self, checker: _MappingChecker, m: NWA, monoid: TransitionMonoid, offset: int, exact: bool
+    ):
         self.class_rows = monoid.elements
         target = checker.a_t
         self.start = mask(target.initials) << offset
@@ -185,6 +192,36 @@ class _ClassCapture:
                 self.edges[p].append((x, None, q))
             else:
                 self.edges[p].append((None, m.rows[x], q))
+        if not exact:
+            return
+        # N's state (p, x) of reverse_contained is bit p * width + x
+        self.fresh = fresh = len(monoid.elements)
+        self.width = width = fresh + 1
+        self.identity = identity = monoid.identity_index
+        self.closing = [
+            [(sym, q * width + fresh) for sym, rows, q in out if rows is None] for out in self.edges
+        ]
+        self.reverse_start = sum(1 << (p * width + fresh) for p in a_s.initials)
+        self.reverse_accepting = sum(1 << (p * width + fresh) for p in a_s.finals)
+        self.target = target
+        labels = sorted(target.alphabet)
+        self.target_moves = [
+            [(b, tuple(bits(target.rows[b][t]))) for b in labels if target.rows[b][t]]
+            for t in range(target.n_states)
+        ]
+        self.letter_rows = {}
+        for b in labels:
+            rows = [0] * (a_s.n_states * width)
+            for p in range(a_s.n_states):
+                base = p * width
+                if b in monoid.alphabet:
+                    for x in range(fresh):
+                        rows[base + x] = 1 << (base + monoid.right_multiply(x, b))
+                    rows[base + fresh] = 1 << (base + monoid.right_multiply(identity, b))
+                if b in a_s.alphabet and b not in checker.source_syms:
+                    for q in bits(a_s.rows[b][p]):
+                        rows[base + fresh] |= 1 << (q * width + fresh)
+            self.letter_rows[b] = tuple(rows)
 
     def capture(self, views: ClassViews) -> tuple[bool, bool]:
         """(nonempty, contained) of the substituted source.
@@ -214,6 +251,68 @@ class _ClassCapture:
                         stack.append((q, nxt))
         return nonempty, True
 
+    def reverse_contained(self, views: ClassViews, cap: int) -> bool:
+        """Whether every word of the target ``T`` is a word of the
+        substituted source ``S[V]``.
+
+        ``S[V]`` is read by an implicit automaton ``N`` whose states are
+        pairs ``(p, x)``: ``p`` is a source state and ``x`` the monoid
+        element of the view factor read so far, or ``fresh`` when no factor
+        is open.  A target letter ``b`` takes ``x`` to ``x·b`` by the
+        monoid's right multiplication (``fresh`` reads as the identity, and
+        a letter that generates nothing ends the factor); from ``fresh``,
+        ``b`` also follows the source's own ``b`` edges, which read target
+        letters directly.  ``(p, x)`` closes to ``(q, fresh)`` through every
+        source edge ``p -a-> q`` whose view holds ``x`` (the identity when
+        ``fresh``), transitively, so a view holding the identity class reads
+        the empty factor.  ``N`` accepts in ``(final source state, fresh)``.
+
+        One search over pairs (``T`` state, set of ``N`` states) meets a
+        final ``T`` state with no accepting ``N`` state exactly when some
+        target word lies outside ``S[V]``.  Each set's step on a letter is
+        computed once per call.  Raises :class:`CapExceeded` when more than
+        ``cap`` distinct sets appear.
+        """
+        width, fresh, identity = self.width, self.fresh, self.identity
+        closing = self.closing
+
+        def close(members: int) -> int:
+            stack = list(bits(members))
+            while stack:
+                p, x = divmod(stack.pop(), width)
+                element = identity if x == fresh else x
+                for sym, j in closing[p]:
+                    if not members >> j & 1 and element in views.get(sym, ()):
+                        members |= 1 << j
+                        stack.append(j)
+            return members
+
+        letter_rows = self.letter_rows
+        moves = self.target_moves
+        finals, accepting = self.target.finals, self.reverse_accepting
+        start = close(self.reverse_start)
+        sets = {start}
+        steps: dict[tuple[int, str], int] = {}
+        seen = {(t, start) for t in self.target.initials}
+        stack = list(seen)
+        while stack:
+            t, members = stack.pop()
+            if t in finals and not members & accepting:
+                return False
+            for b, successors in moves[t]:
+                nxt = steps.get((members, b))
+                if nxt is None:
+                    nxt = steps[members, b] = close(image(letter_rows[b], members))
+                    if nxt not in sets:
+                        sets.add(nxt)
+                        if len(sets) > cap:
+                            raise CapExceeded("determinization", cap)
+                for u in successors:
+                    if (u, nxt) not in seen:
+                        seen.add((u, nxt))
+                        stack.append((u, nxt))
+        return True
+
 
 # ---------------------------------------------------------------------------
 # Synthesis search
@@ -234,6 +333,7 @@ class _Engine:
         if mode not in ("sound", "exact"):
             raise InputError(f"unknown mode {mode!r}")
         self.mode = mode
+        self.det_cap = det_cap
         self.occurring = instance.occurring_source_symbols()
         self.checkers = _checkers(instance, det_cap)
         # the monoid automaton, on the compiled targets (trim, see compile_regex),
@@ -244,7 +344,8 @@ class _Engine:
         self.monoid = transition_monoid(m, generators=instance.target_names, cap=monoid_cap)
         offsets = itertools.accumulate((c.a_t.n_states for c in self.checkers), initial=0)
         self.class_checks = [
-            _ClassCapture(c, m, self.monoid, offset) for c, offset in zip(self.checkers, offsets)
+            _ClassCapture(c, m, self.monoid, offset, mode == "exact")
+            for c, offset in zip(self.checkers, offsets)
         ]
         self.stats = SearchStats(mode=mode, monoid_size=len(self.monoid.elements))
 
@@ -264,14 +365,12 @@ class _Engine:
         return True, stays, nonempty
 
     def assignment_ok(self, views: ClassViews) -> tuple[bool, bool]:
-        """(stays, captures) by :meth:`verdict` and reverse automata checks."""
+        """(stays, captures) by :meth:`verdict` and, in exact mode, each
+        mapping's :meth:`_ClassCapture.reverse_contained`."""
         full = {sym: views.get(sym, frozenset()) for sym in self.occurring}
         _, stays, nonempty = self.verdict(full, len(self.occurring) - 1)
         if nonempty and self.mode == "exact":
-            realized = realize_views(full, self.monoid)
-            return stays, all(
-                c.reverse_separating(c.substituted(realized)) is None for c in self.checkers
-            )
+            return stays, all(cc.reverse_contained(full, self.det_cap) for cc in self.class_checks)
         return stays, nonempty
 
     def options(self, _sym: str):

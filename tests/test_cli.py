@@ -182,6 +182,17 @@ def test_det_cap_help_names_both_caps(capsys, command):
     assert "state cap of containment checks: subset states, or crossing states for 2rpq" in text
 
 
+@pytest.mark.parametrize("cap", range(1, 9))
+def test_synth_exact_det_cap_edge(capsys, cap):
+    # the search's reverse checks meet at most six right-hand sets, and the
+    # report's reverse check determinizes seven subset states
+    code, out, err = run(capsys, "synth", "--mode", "exact", "--det-cap", str(cap), EXACT)
+    if cap <= 6:
+        assert (code, out, err) == (3, "", f"error: determinization exceeded cap of {cap} states\n")
+    else:
+        assert (code, err) == (0, "")
+
+
 def test_synth_dot_dumps_before_a_stopped_search(capsys, tmp_path):
     outdir = tmp_path / "dots"
     code, _, err = run(

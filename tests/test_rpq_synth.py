@@ -9,7 +9,15 @@ from viewsynth.errors import BudgetExceeded, InputError
 from viewsynth.model import Mapping, ProblemInstance, RSym, SymbolId, rcat
 from viewsynth.parser import parse_instance, parse_regex
 from viewsynth import rpq_synth
-from viewsynth.automata import accepts, compile_regex, equivalent, is_empty, trim, union_nwa
+from viewsynth.automata import (
+    DEFAULT_DET_CAP,
+    accepts,
+    compile_regex,
+    equivalent,
+    is_empty,
+    trim,
+    union_nwa,
+)
 from viewsynth.congruence import class_of, transition_monoid
 from viewsynth.oracle import (
     brute_view_existence_rpq,
@@ -630,6 +638,52 @@ def test_monoid_capture_agrees_with_automata(joined):
     assert min(verdicts.values()) >= 40
 
 
+def test_monoid_reverse_check_agrees_with_automata(monkeypatch):
+    # every assignment the monoid walk passes in the exact search has its
+    # reverse containment decided both in the monoid and by automata
+    verdicts = Counter()
+    original_ok = _Engine.assignment_ok
+
+    def refereed(engine, views):
+        full = {sym: views.get(sym, frozenset()) for sym in engine.occurring}
+        if all(cc.capture(full) == (True, True) for cc in engine.class_checks):
+            realized = realize_views(full, engine.monoid)
+            generators = set(engine.monoid.alphabet)
+            for checker, cc in zip(engine.checkers, engine.class_checks):
+                referee = checker.reverse_separating(checker.substituted(realized)) is None
+                assert cc.reverse_contained(full, DEFAULT_DET_CAP) == referee
+                cases = {
+                    "identity class": any(engine.monoid.identity_index in v for v in full.values()),
+                    "empty view": not all(full.values()),
+                    "target letter in source": bool(checker.a_s.labels_present() & generators),
+                    "shared monoid": len(engine.checkers) > 1,
+                    "non-generator target label": bool(checker.a_t.alphabet - generators),
+                }
+                verdicts.update((case, referee) for case, hit in cases.items() if hit)
+        return original_ok(engine, views)
+
+    monkeypatch.setattr(_Engine, "assignment_ok", refereed)
+    rng = random.Random(83)
+    for draw in range(200):
+        inst = random_rpq_instance(
+            rng,
+            n_mappings=rng.randint(1, 3),
+            max_source_symbols=3,
+            max_target_symbols=3,
+            max_target_leaves=3,
+        )
+        # the paper's join: its target reads ``#``, which generates nothing
+        if draw % 2:
+            inst = joined_instance(inst)
+        try:
+            synthesize(inst, "exact", find_all=True, budget=1_000)
+        except BudgetExceeded:
+            pass
+    cases = {case for case, _ in verdicts}
+    assert len(cases) == 5
+    assert min(verdicts[case, referee] for case in cases for referee in (True, False)) >= 10
+
+
 @pytest.mark.parametrize("mode", ["sound", "exact"])
 def test_missing_view_is_the_empty_view(mode):
     # the search leaves unassigned symbols out of its partial assignments
@@ -675,14 +729,19 @@ def test_sound_search_agrees_with_brute_oracle(joined):
 )
 def test_search_builds_no_automata_per_candidate(monkeypatch, name, mode, find_all):
     inst = parse_instance((INSTANCES / f"{name}.vs").read_text(encoding="utf-8"))
-    calls = []
-    original = rpq_synth.substitute
+    calls = Counter()
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def counting(kernel):
+        original = getattr(rpq_synth, kernel)
 
-    monkeypatch.setattr(rpq_synth, "substitute", counting)
+        def counted(*args, **kwargs):
+            calls[kernel] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(rpq_synth, kernel, counted)
+
+    counting("substitute")
+    counting("difference_witness")
     # the assignments the monoid passes, decided here apart from the engine
     passed = []
     original_ok = rpq_synth._Engine.assignment_ok
@@ -698,13 +757,16 @@ def test_search_builds_no_automata_per_candidate(monkeypatch, name, mode, find_a
         passed.clear()
         report = synthesize(inst, mode, find_all=find_all, budget=budget)
         assert report.found
-        counts.append(len(calls))
+        counts.append(dict(calls))
     assert counts[0] == counts[1]
-    if mode == "sound":
-        # only the report's own check, one substitution per mapping
-        assert counts[0] == len(inst.mappings)
-    else:
-        # plus the reverse check of each assignment the monoid passes, one
-        # substitution each on this one-mapping instance
-        assert len(inst.mappings) == 1
-        assert counts[0] == 1 + sum(passed)
+    # only the report's own check: one substitution per mapping, compared
+    # with the target one way (sound) or both ways (exact); the exact
+    # search decides its reverse containment in the monoid
+    directions = 2 if mode == "exact" else 1
+    assert counts[0] == {
+        "substitute": len(inst.mappings),
+        "difference_witness": directions * len(inst.mappings),
+    }
+    if mode == "exact":
+        # many assignments reached the reverse check, none substituted
+        assert sum(passed) > len(inst.mappings)
