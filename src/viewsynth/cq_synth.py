@@ -27,6 +27,17 @@ extends to a sound (and so to any exact) solution only if some completion
 of the rest by {undefined, K*} captures soundly: 2^(unassigned) checks.
 Without a target predicate of positive arity K* is unsafe, and the rest
 complete as undefined only.
+
+**Refuting by predicates.** A containment mapping sends every target atom
+to an atom with the same predicate, so a target disjunct maps into an
+unfolded source disjunct only if all its predicates occur there.  Those
+are the source disjunct's own non-source predicates and the predicates of
+the view bodies chosen for its source atoms, known before anything is
+unfolded.  So each soundness test asks ``refuted_by_signature`` first: if
+some unfolded disjunct holds no target disjunct's predicates, the
+rewriting is not contained and the test fails without unfolding.  A
+refutation is always right, and every test it does not refute is decided
+by unfolding and containment mappings as before, so no verdict changes.
 """
 
 from __future__ import annotations
@@ -161,48 +172,79 @@ def cq_substitute(q_s: UCQ, views: CqViews, source_preds: "set[str]") -> list[CQ
 
 
 def _splice_disjunct(d: CQ, combo) -> CQ:
-    atoms: list[Atom] = []
-    equalities: list[tuple[str, str]] = []
-    for occurrence, (atom, view_cq) in enumerate(zip(d.atoms, combo)):
-        if view_cq is None:
-            atoms.append(atom)
-            continue
-        rename: dict[str, str] = {}
-        for head_var, term in zip(view_cq.head, atom.args):
-            if head_var in rename:
-                equalities.append((rename[head_var], term))
-            else:
-                rename[head_var] = term
-        for body_atom in view_cq.atoms:
-            args = []
-            for var in body_atom.args:
-                if var not in rename:
-                    # fresh per occurrence; '~' cannot appear in parsed names
-                    rename[var] = f"{var}~{occurrence}"
-                args.append(rename[var])
-            atoms.append(Atom(body_atom.pred, tuple(args)))
-
-    if not equalities:
-        return CQ(d.head, tuple(atoms))
-
+    """``d`` with each atom whose ``combo`` entry is a view replaced by that
+    view's body.  The source terms that a repeated view head variable
+    equates are unioned first, each class written as its least member;
+    then each body is written once, its head variables bound to those
+    members and its existentials named afresh per occurrence."""
     parent: dict[str, str] = {}
 
     def find(v: str) -> str:
-        parent.setdefault(v, v)
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
+        while v in parent:
             v = parent[v]
         return v
 
-    for a, b in equalities:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            keep, drop = sorted((ra, rb))
-            parent[drop] = keep
+    for atom, view_cq in zip(d.atoms, combo):
+        if view_cq is None:
+            continue
+        first: dict[str, str] = {}
+        for head_var, term in zip(view_cq.head, atom.args):
+            seen = first.setdefault(head_var, term)
+            if seen != term:
+                ra, rb = find(seen), find(term)
+                if ra != rb:
+                    keep, drop = sorted((ra, rb))
+                    parent[drop] = keep
+    least = {v: find(v) for v in parent}
 
-    head = tuple(find(v) for v in d.head)
-    atoms = [Atom(a.pred, tuple(find(v) for v in a.args)) for a in atoms]
-    return CQ(head, tuple(atoms))
+    atoms: list[Atom] = []
+    for occurrence, (atom, view_cq) in enumerate(zip(d.atoms, combo)):
+        if view_cq is None:
+            if least:
+                atom = Atom(atom.pred, tuple([least.get(v, v) for v in atom.args]))
+            atoms.append(atom)
+            continue
+        bound = {h: least.get(t, t) for h, t in zip(view_cq.head, atom.args)}
+        # existentials fresh per occurrence; '~' cannot appear in parsed names
+        atoms.extend(
+            Atom(b.pred, tuple([bound[v] if v in bound else f"{v}~{occurrence}" for v in b.args]))
+            for b in view_cq.atoms
+        )
+    return CQ(tuple([least.get(v, v) for v in d.head]), tuple(atoms))
+
+
+def refuted_by_signature(
+    q_s: UCQ, views: CqViews, source_preds: "set[str]", target_sigs: "list[frozenset[str]]"
+) -> bool:
+    """Whether the predicates alone show ``cq_substitute(q_s, views,
+    source_preds)`` not contained in a target whose disjuncts have the
+    predicate sets ``target_sigs``.
+
+    A containment mapping sends every target atom to an atom with the same
+    predicate, so a target disjunct maps into an unfolded disjunct only if
+    its predicates all occur there.  The unfolded disjunct's predicates are
+    its source disjunct's own non-source predicates and those of the chosen
+    view bodies; equating terms changes none.  If some unfolded disjunct has
+    no target disjunct's predicates among its own, the union is not
+    contained.  ``False`` says nothing either way.
+    """
+    body_sigs = {
+        pred: {frozenset(d.predicates()) for d in v.disjuncts}
+        if isinstance(v, UCQ)
+        else (v.predicates(),)
+        for pred, v in views.items()
+        if v is not None
+    }
+    for d in q_s.disjuncts:
+        own = {a.pred for a in d.atoms if a.pred not in source_preds}
+        chosen = [body_sigs.get(a.pred) for a in d.atoms if a.pred in source_preds]
+        if None in chosen:  # an undefined view: cq_substitute drops the disjunct
+            continue
+        for combo in itertools.product(*chosen):
+            preds = own.union(*combo)
+            if not any(sig <= preds for sig in target_sigs):
+                return True
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +336,8 @@ def enumerate_view_candidates(
             # skip unsafe bodies and those whose existentials are not e0..e(k-1)
             if ~mask & head_bits or em & (em + 1):
                 continue
-            if _least_relabelling(body, universe, index, head, names[em.bit_length()]):
+            # with at most one existential the only renaming is the identity
+            if em < 2 or _least_relabelling(body, universe, index, head, names[em.bit_length()]):
                 yield CQ(head, tuple(universe[i] for i in body))
 
 
@@ -391,9 +434,16 @@ def synthesize_cq(
     the option order, so even a search with unions finds a union-free first
     solution.  Exact existence genuinely differs between the two kinds.
 
+    Each keep or prune test first compares predicate sets: a mapping whose
+    unfolding would have a disjunct lacking the predicates of every target
+    disjunct fails the test without being unfolded (see the module
+    docstring).  Such a disjunct has no containment mapping from any
+    target disjunct, so nothing is lost.
+
     ``budget`` bounds the checks the search makes: one per mapping in each
-    keep or prune test, and one per full assignment it decides.  Candidates
-    the search never reaches cost nothing.
+    keep or prune test, refuted by predicates or not, and one per full
+    assignment it decides.  Candidates the search never reaches cost
+    nothing.
     """
     if instance.kind not in ("cq", "ucq"):
         raise InputError(f"synthesize_cq supports cq/ucq instances, not {instance.kind}")
@@ -405,6 +455,9 @@ def synthesize_cq(
     source_preds = set(instance.source_names)
     occurring = instance.occurring_source_symbols()
     target_schema = {n: instance.symbols[n].arity for n in instance.target_names}
+    target_sigs = [
+        [frozenset(d.predicates()) for d in m.target.disjuncts] for m in instance.mappings
+    ]
 
     def spend():
         stats.checks += 1
@@ -414,8 +467,10 @@ def synthesize_cq(
     def sound(views: CqViews, nonempty: bool) -> bool:
         """Containment (and, if asked, nonemptiness) for every mapping;
         symbols missing from ``views`` are undefined."""
-        for m in instance.mappings:
+        for m, sigs in zip(instance.mappings, target_sigs):
             spend()
+            if refuted_by_signature(m.source, views, source_preds, sigs):
+                return False
             distributed = cq_substitute(m.source, views, source_preds)
             if (nonempty and not distributed) or not ucq_contains(distributed, m.target):
                 return False

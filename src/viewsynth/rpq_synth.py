@@ -141,19 +141,23 @@ def capture_check(
     views: dict[str, "NWA | None"],
     mode: "str | None" = None,
     det_cap: int = DEFAULT_DET_CAP,
+    *,
+    checkers: "list[_MappingChecker] | None" = None,
 ) -> CaptureResult:
     """Check whether views capture every mapping of a path-query instance.
 
     ``views`` maps each source symbol to its view language (``None`` for
     the empty view); :func:`realize_views` gives those of class views.
+    ``checkers`` are the instance's compiled :func:`_checkers` at
+    ``det_cap``, for a caller that holds them already.
     """
     if instance.kind not in ("rpq", "2rpq"):
         raise InputError("capture_check handles path-query instances only")
     mode = mode or instance.mode
     instance.require_views(views)
-    return CaptureResult(
-        mode=mode, per_mapping=[c.check(views, mode) for c in _checkers(instance, det_cap)]
-    )
+    if checkers is None:
+        checkers = _checkers(instance, det_cap)
+    return CaptureResult(mode=mode, per_mapping=[c.check(views, mode) for c in checkers])
 
 
 class _ClassCapture:
@@ -203,6 +207,13 @@ class _ClassCapture:
         ]
         self.reverse_start = sum(1 << (p * width + fresh) for p in a_s.initials)
         self.reverse_accepting = sum(1 << (p * width + fresh) for p in a_s.finals)
+        self.fresh_bits = sum(1 << (p * width + fresh) for p in range(a_s.n_states))
+        # y's left factors: each x with x·b = y for a generator b
+        self.left_factors: list[list[int]] = [[] for _ in range(fresh)]
+        for x in range(fresh):
+            for b in monoid.alphabet:
+                self.left_factors[monoid.right_multiply(x, b)].append(x)
+        self.live_sets: dict[frozenset[int], int] = {}
         self.target = target
         labels = sorted(target.alphabet)
         self.target_moves = [
@@ -251,6 +262,20 @@ class _ClassCapture:
                         stack.append((q, nxt))
         return nonempty, True
 
+    def _live(self, union: frozenset[int]) -> int:
+        """The elements with a right multiple in ``union``, as a bitmask:
+        a backward walk over the right multiplication, memoized per union."""
+        live = self.live_sets.get(union)
+        if live is None:
+            live, stack = 0, list(union)
+            while stack:
+                y = stack.pop()
+                if not live >> y & 1:
+                    live |= 1 << y
+                    stack.extend(self.left_factors[y])
+            self.live_sets[union] = live
+        return live
+
     def reverse_contained(self, views: ClassViews, cap: int) -> bool:
         """Whether every word of the target ``T`` is a word of the
         substituted source ``S[V]``.
@@ -266,6 +291,9 @@ class _ClassCapture:
         source edge ``p -a-> q`` whose view holds ``x`` (the identity when
         ``fresh``), transitively, so a view holding the identity class reads
         the empty factor.  ``N`` accepts in ``(final source state, fresh)``.
+        An open ``(p, x)`` none of whose right multiples ``x·y`` lies in
+        the union of the views on ``p``'s source edges can never close, so
+        it is dropped from every set; ``(p, fresh)`` always stays.
 
         One search over pairs (``T`` state, set of ``N`` states) meets a
         final ``T`` state with no accepting ``N`` state exactly when some
@@ -287,6 +315,10 @@ class _ClassCapture:
                         stack.append(j)
             return members
 
+        live = self.fresh_bits
+        for p, out in enumerate(closing):
+            union = frozenset().union(*(views.get(sym, ()) for sym, _ in out))
+            live |= self._live(union) << (p * width)
         letter_rows = self.letter_rows
         moves = self.target_moves
         finals, accepting = self.target.finals, self.reverse_accepting
@@ -302,7 +334,7 @@ class _ClassCapture:
             for b, successors in moves[t]:
                 nxt = steps.get((members, b))
                 if nxt is None:
-                    nxt = steps[members, b] = close(image(letter_rows[b], members))
+                    nxt = steps[members, b] = close(image(letter_rows[b], members) & live)
                     if nxt not in sets:
                         sets.add(nxt)
                         if len(sets) > cap:
@@ -467,7 +499,9 @@ def synthesize(
     report = SynthesisReport(
         outcome="found",
         views=best,
-        checks=capture_check(instance, realize_views(best, engine.monoid), mode, det_cap),
+        checks=capture_check(
+            instance, realize_views(best, engine.monoid), mode, det_cap, checkers=engine.checkers
+        ),
         stats=stats,
         views_regex=views_to_regex(best, engine.monoid),
         monoid=engine.monoid,

@@ -193,6 +193,28 @@ def test_synth_exact_det_cap_edge(capsys, cap):
         assert (code, err) == (0, "")
 
 
+NEVER_CLOSING = (
+    "kind rpq\nsource a1 a2\ntarget b1 b2 b3\n"
+    "map a1|a2 ~> (b3|b2)*|eps\nmap b2.a2 ~> (b2.b2)*\nmap a2 ~> b3|b2\n"
+)
+
+
+@pytest.mark.parametrize("cap", [6, 7, 8, 12, 16])
+@pytest.mark.parametrize("flags", [(), ("--all", "--maximal")])
+def test_synth_exact_det_cap_drops_factors_that_never_close(capsys, tmp_path, cap, flags):
+    # open factors no right multiple carries into a view of their source
+    # state are dropped, so no reverse check meets more than seven sets;
+    # keeping them, caps 7-16 stopped this not-found search
+    path = tmp_path / "never_closing.vs"
+    path.write_text(NEVER_CLOSING, encoding="utf-8")
+    argv = ["synth", "--mode", "exact", "--det-cap", str(cap), *flags, str(path)]
+    code, out, err = run(capsys, *argv)
+    if cap <= 6:
+        assert (code, out, err) == (3, "", f"error: determinization exceeded cap of {cap} states\n")
+    else:
+        assert (code, err) == (1, "")
+
+
 def test_synth_dot_dumps_before_a_stopped_search(capsys, tmp_path):
     outdir = tmp_path / "dots"
     code, _, err = run(

@@ -176,6 +176,107 @@ def test_substitute_repeated_head_variable_unifies():
     assert got.head == (got.head[0], got.head[0])  # x and y collapsed
 
 
+def _union_find_splice(d, combo):
+    """The splice written the other way round: every body spliced with the
+    source terms as they stand, then one union-find pass over all atoms
+    equates the terms repeated view head variables tie, each class written
+    as its least member."""
+    atoms, equalities = [], []
+    for occurrence, (atom, view_cq) in enumerate(zip(d.atoms, combo)):
+        if view_cq is None:
+            atoms.append(atom)
+            continue
+        rename = {}
+        for head_var, term in zip(view_cq.head, atom.args):
+            if head_var in rename:
+                equalities.append((rename[head_var], term))
+            else:
+                rename[head_var] = term
+        for body_atom in view_cq.atoms:
+            args = []
+            for var in body_atom.args:
+                if var not in rename:
+                    rename[var] = f"{var}~{occurrence}"
+                args.append(rename[var])
+            atoms.append(Atom(body_atom.pred, tuple(args)))
+    parent = {}
+
+    def find(v):
+        parent.setdefault(v, v)
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for a, b in equalities:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            keep, drop = sorted((ra, rb))
+            parent[drop] = keep
+    return CQ(
+        tuple(find(v) for v in d.head),
+        tuple(Atom(a.pred, tuple(find(v) for v in a.args)) for a in atoms),
+    )
+
+
+def test_splice_equates_source_terms_as_a_union_find_over_the_spliced_atoms():
+    rng = random.Random(23)
+    schema = {"a": 2, "b": 3, "r": 2, "s": 1}
+    target = {"r": 2, "s": 1}
+    repeated = 0
+    for _ in range(400):
+        d = random_cq(rng, schema, head_arity=rng.randint(1, 3), max_atoms=4, max_vars=5)
+        views = {}
+        for pred in ("a", "b"):
+            arity = schema[pred]
+            kstar = cq_synth._bottom_view(arity, target)
+            cqs = [random_cq(rng, target, arity, max_atoms=3, max_vars=3) for _ in range(2)]
+            views[pred] = rng.choice([kstar, cqs[0], UCQ(tuple(cqs)), UCQ((kstar, cqs[1]))])
+        alternatives = [
+            (None,) if a.pred not in views
+            else views[a.pred].disjuncts if isinstance(views[a.pred], UCQ)
+            else (views[a.pred],)
+            for a in d.atoms
+        ]
+        for combo in itertools.product(*alternatives):
+            repeated += any(v is not None and len(set(v.head)) < len(v.head) for v in combo)
+            assert cq_synth._splice_disjunct(d, combo) == _union_find_splice(d, combo)
+    assert repeated > 300
+
+
+def test_signature_refutation_implies_non_containment():
+    # views drawn as the search offers them: candidates, K*, unions and
+    # undefined; a refutation must be a true "not contained"
+    from viewsynth.oracle import random_ucq_instance, ucq_contained_canonical
+
+    target_schema = {"r": 2, "s": 2}
+    singles = [v for n in (1, 2) for v in enumerate_view_candidates(2, target_schema, n)]
+    kstar = cq_synth._bottom_view(2, target_schema)
+    rng = random.Random(31)
+    refuted = kept = 0
+    for _ in range(150):
+        inst = random_ucq_instance(rng)
+        (m,) = inst.mappings
+        source_preds = set(inst.source_names)
+        sigs = [frozenset(d.predicates()) for d in m.target.disjuncts]
+        for _ in range(8):
+            views = {}
+            for sym in inst.source_names:
+                pick = rng.randrange(5)
+                if pick == 0:
+                    continue  # missing from the views: undefined
+                union = UCQ(tuple(rng.sample(singles, 2)))
+                views[sym] = [None, kstar, rng.choice(singles), union][pick - 1]
+            if cq_synth.refuted_by_signature(m.source, views, source_preds, sigs):
+                refuted += 1
+                distributed = UCQ(tuple(cq_substitute(m.source, views, source_preds)))
+                assert not ucq_contains(distributed, m.target)
+                assert not ucq_contained_canonical(distributed, m.target)
+            else:
+                kept += 1
+    assert refuted > 200 and kept > 200, (refuted, kept)
+
+
 # --- bounds and candidates -----------------------------------------------------------
 
 def test_bounds_for_chain(chain_cq):
@@ -261,12 +362,13 @@ def test_each_candidate_meets_local_soundness_once_across_prefixes(monkeypatch, 
     # candidates_per_symbol counts the distinct options the search offered
     inst = parse_instance(TWO_SYMBOLS)
     tested, offered, walks = Counter(), {}, Counter()
-    substitute, run_search = cq_synth.cq_substitute, cq_synth.search
+    refuted, run_search = cq_synth.refuted_by_signature, cq_synth.search
 
-    def counted_substitute(q_s, views, source_preds):
+    # every test of a mapping asks the signature first, refuted or not
+    def counted_refuted(q_s, views, *rest):
         if len(views) == 1:  # only the keep test leaves the other symbol out
             tested[next(iter(views.items()))] += 1
-        return substitute(q_s, views, source_preds)
+        return refuted(q_s, views, *rest)
 
     def spied_search(symbols, options, *rest):
         def spied(sym):
@@ -277,7 +379,7 @@ def test_each_candidate_meets_local_soundness_once_across_prefixes(monkeypatch, 
 
         return run_search(symbols, spied, *rest)
 
-    monkeypatch.setattr(cq_synth, "cq_substitute", counted_substitute)
+    monkeypatch.setattr(cq_synth, "refuted_by_signature", counted_refuted)
     monkeypatch.setattr(cq_synth, "search", spied_search)
     report = synthesize_cq(inst, mode, "ucq", find_all=True)
     assert report.found and walks["b"] > 1, walks
