@@ -10,16 +10,21 @@ The two-way automaton model is fixed here as follows: the tape is
 ``LEFT_END u RIGHT_END``; a transition ``(p, s, d, q)`` fires when the
 symbol under the head is ``s`` and moves the head one cell in direction
 ``d``; a run starts on the left endmarker in the initial state and accepts
-by reaching the right endmarker in a final state.  Moves off either
-endmarker are rejected at construction time, where the machine also files
-its moves per tape symbol in the two tables ``two_to_one`` reads.
+by reaching the right endmarker in a final state.  A machine keeps its
+moves per tape symbol in the two tables ``two_to_one`` reads.  A hand-built
+machine gets them from its transition set, whose moves off either endmarker
+are rejected at construction time; ``fold_automaton`` fills them straight
+from the rows of the query's automaton, with no transition set.
 
 ``two_to_one`` turns such a machine into a one-way automaton whose states
-are crossing summaries of the prefix read so far (Shepherdson).  Each
-letter's summary comes from a graph search on the new cell, one per entry
-state, that collects reach and exits together and reuses the finished
-searches of earlier entry states; acceptance is one search from the set
-of states that can enter the right endmarker.
+are Shepherdson's crossing tables of the prefix read so far, each with the
+set of states that can enter the next cell.  A table keeps rows for the
+targets of left moves only, the one place the head re-enters the prefix.
+Each letter's table comes from a graph search on the new cell, one per
+target, that collects reach and exits together and reuses the finished
+searches of earlier targets; the next entry set is one more search, which
+reuses them all, and acceptance is one search from the set of states that
+can enter the right endmarker.
 
 ``fold_difference`` decides containment on the result: guided by the
 left-hand query, ``two_to_one`` is deterministic on that query's words, so
@@ -39,11 +44,16 @@ RIGHT_END = "⊣"  # ⊣
 LEFT = "left"
 RIGHT = "right"
 
-TwoTransition = tuple[int, str, str, int]
-
 
 class TwoNWA:
-    """A nondeterministic two-way word automaton with endmarkers."""
+    """A nondeterministic two-way word automaton with endmarkers.
+
+    ``left[s]`` lists the left moves on tape symbol ``s`` as (source,
+    target) pairs; ``right[s]`` holds one successor bitmask per state.  The
+    constructor validates ``transitions`` and files them in those tables;
+    :func:`fold_automaton` fills the tables directly and leaves
+    ``transitions`` ``None``.
+    """
 
     __slots__ = ("n_states", "alphabet", "initial", "finals", "transitions", "left", "right")
 
@@ -78,14 +88,15 @@ class TwoNWA:
 
     def __repr__(self):
         return (
-            f"TwoNWA(states={self.n_states}, |transitions|={len(self.transitions)}, "
-            f"initial={self.initial}, finals={sorted(self.finals)})"
+            f"TwoNWA(states={self.n_states}, initial={self.initial}, "
+            f"finals={sorted(self.finals)})"
         )
 
 
 def accepts_two(t: TwoNWA, word: Word) -> bool:
-    """Direct configuration-graph search over ``t.transitions``; a test
-    cross-check that shares no move table with ``two_to_one``."""
+    """Direct configuration-graph search over ``t.transitions``, which a
+    machine built from a transition set keeps; a test cross-check that
+    shares no move table with ``two_to_one``."""
     moves: dict[tuple[int, str], list[tuple[str, int]]] = {}
     for p, s, d, q in t.transitions:
         moves.setdefault((p, s), []).append((d, q))
@@ -152,32 +163,54 @@ def fold_automaton(a: NWA) -> TwoNWA:
     leftward feeds the inverse.  States are directed copies ``(p, R)`` /
     ``(p, L)`` of ``a``'s states so that each crossing reads the cell it
     traverses, plus a start state sitting on the left endmarker.
+
+    The move tables are filled straight from ``a.rows``, with no transition
+    set and no validation pass: ``(p, R)`` turns into ``(p, L)`` on every
+    symbol but the left endmarker and back on every symbol but the right
+    one; each ``x`` row of ``a``, spread onto the ``(q, R)`` copies, is the
+    right row of ``(p, R)`` on ``x``; and each ``x`` move ``p -> q`` of
+    ``a`` is the left pair ``(p, L) -> (q, L)`` on ``inverse(x)``.
     """
     tape = sorted(a.alphabet | {inverse(s) for s in a.alphabet})
     # state numbering: 0 = start; then (p, R) -> 1 + 2p, (p, L) -> 2 + 2p
-    def right_state(p):
-        return 1 + 2 * p
+    m = a.n_states
+    n_states = 1 + 2 * m
 
-    def left_state(p):
-        return 2 + 2 * p
+    def spread(row: int) -> int:
+        """The ``(q, R)`` copies of the states ``q`` in ``row``."""
+        out = 0
+        for q in bits(row):
+            out |= 2 << 2 * q
+        return out
 
-    n_states = 1 + 2 * a.n_states
-    transitions: set[TwoTransition] = set()
-    for p in range(a.n_states):
-        if p in a.initials:
-            transitions.add((0, LEFT_END, RIGHT, right_state(p)))
-        # direction changes never feed a letter to the simulated automaton
-        for s in tape + [RIGHT_END]:
-            transitions.add((right_state(p), s, LEFT, left_state(p)))
-        for s in tape + [LEFT_END]:
-            transitions.add((left_state(p), s, RIGHT, right_state(p)))
-    for p, x, q in a.transitions:
+    # direction changes never feed a letter to the simulated automaton
+    turn_right = [0] * n_states
+    turn_right[2::2] = [2 << 2 * p for p in range(m)]
+    turn_left = [(1 + 2 * p, 2 + 2 * p) for p in range(m)]
+    right: dict[str, tuple[int, ...]] = {}
+    left: dict[str, tuple[tuple[int, int], ...]] = {RIGHT_END: tuple(turn_left)}
+    for s in tape:
         # rightward crossing of a cell holding x simulates reading x;
         # leftward crossing of a cell holding inverse(x) also reads x
-        transitions.add((right_state(p), x, RIGHT, right_state(q)))
-        transitions.add((left_state(p), inverse(x), LEFT, left_state(q)))
-    finals = {right_state(f) for f in a.finals}
-    return TwoNWA(n_states, tape, 0, finals, transitions)
+        rows = list(turn_right)
+        if s in a.rows:
+            rows[1::2] = map(spread, a.rows[s])
+        right[s] = tuple(rows)
+        reads = [
+            (2 + 2 * p, 2 + 2 * q)
+            for p, row in enumerate(a.rows.get(inverse(s), ()))
+            for q in bits(row)
+        ]
+        left[s] = tuple(turn_left + reads)
+    start = list(turn_right)
+    start[0] = spread(mask(a.initials))
+    right[LEFT_END] = tuple(start)
+
+    t = TwoNWA.__new__(TwoNWA)
+    t.n_states, t.alphabet, t.initial = n_states, frozenset(tape), 0
+    t.finals = frozenset(1 + 2 * f for f in a.finals)
+    t.transitions, t.left, t.right = None, left, right
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -185,20 +218,19 @@ def fold_automaton(a: NWA) -> TwoNWA:
 # ---------------------------------------------------------------------------
 
 def two_to_one(t: TwoNWA, cap: int = DEFAULT_DET_CAP, within: NWA | None = None) -> NWA:
-    """An equivalent one-way NWA, via Shepherdson-style crossing summaries.
+    """An equivalent one-way NWA, via Shepherdson's crossing tables.
 
-    Reading the input left to right, the construction tracks, for the tape
-    prefix consumed so far, (i) which states can enter the next cell coming
-    from the initial configuration and (ii) the relation \"entering the
-    prefix's last cell in state p can eventually exit right in state q\".
-    Both are updated per letter, from the move tables the machine files at
-    construction.  The new relation comes from one search of the new cell
-    per entry state, which collects the states the head reaches there and
-    those it exits right in; entry states are searched in order, and a
-    search takes an earlier entry state's results whole.
-    A crossing state accepts when one search from its entry set on the
-    right endmarker reaches a final state.  Without ``within`` the result
-    is deterministic and complete over the two-way automaton's alphabet.
+    A crossing state describes the tape prefix read so far by a pair: the
+    entry set, the states that can enter the next cell coming from the
+    initial configuration, and the table, which gives per left-move target
+    ``p`` the states in which entering the prefix's last cell in ``p`` can
+    eventually exit right.  The head comes back into the prefix only by a
+    left move, so the table keeps no other state's row.  Per letter,
+    ``step`` builds the new table and ``enter`` the new entry set, both by
+    searching the new cell.  A crossing state accepts when one search from
+    its entry set on the right endmarker reaches a final state.  Without
+    ``within`` the result is deterministic and complete over the two-way
+    automaton's alphabet.
 
     With ``within``, the search walks pairs (``within`` state, crossing
     state) and only follows letters ``within`` can read, so it builds just
@@ -207,34 +239,41 @@ def two_to_one(t: TwoNWA, cap: int = DEFAULT_DET_CAP, within: NWA | None = None)
     every word of ``L(within)``.  ``cap`` bounds the crossing states built.
     """
     n = t.n_states
-    left, right = t.left, t.right
+    right = t.right
     no_moves = (0,) * n
     finals_mask = mask(t.finals)
+    # a table holds one row per left-move target, in increasing order
+    targets = sorted({q for pairs in t.left.values() for _, q in pairs})
+    all_targets = mask(targets)
+    slot = {q: i for i, q in enumerate(targets)}
+    left = {s: [(p, slot[q]) for p, q in pairs] for s, pairs in t.left.items()}
 
-    def dips(symbol: str, rel: tuple[int, ...]) -> list[int]:
+    def dips(symbol: str, table: tuple[int, ...]) -> list[int]:
         """Per state, where one left move on this cell and the prefix's
-        crossing relation ``rel`` bring the head back onto the cell."""
+        crossing table bring the head back onto the cell."""
         back = [0] * n
-        for p, q in left.get(symbol, ()):
-            back[p] |= rel[q]
+        for p, i in left.get(symbol, ()):
+            back[p] |= table[i]
         return back
 
-    def step(symbol: str, rel: tuple[int, ...]) -> tuple[int, ...]:
-        """The crossing relation of the prefix extended by a cell holding
-        ``symbol``: per entry state, the states that exit the cell right.
+    def step(symbol: str, table: tuple[int, ...]):
+        """The crossing table of the prefix extended by a cell holding
+        ``symbol``, and the cell's parts that ``enter`` searches.
 
         The head may dip left into the prefix any number of times, and
-        ``rel`` brings each dip back, so one step of the search on this
-        cell goes from ``q`` to ``rel(left moves of q)``.  Entry states
-        are searched in order; a search that meets an earlier entry state
-        takes that state's reach and exits whole instead of expanding it.
+        ``table`` brings each dip back, so one step of the search on this
+        cell goes from ``q`` to ``succ[q]``.  One search per target
+        collects the states the head reaches and those it exits right in.
+        Targets are searched in order; a search that meets an earlier
+        target takes that target's reach and exits whole instead of
+        expanding it.
         """
+        succ = dips(symbol, table)
         rights = right.get(symbol, no_moves)
-        succ = dips(symbol, rel)
         reach = [0] * n
         out = [0] * n
-        for p in range(n):
-            finished = (1 << p) - 1
+        finished = 0
+        for p in targets:
             seen = 1 << p
             exits = rights[p]
             frontier = succ[p] & ~seen
@@ -259,12 +298,28 @@ def two_to_one(t: TwoNWA, cap: int = DEFAULT_DET_CAP, within: NWA | None = None)
                 frontier = fresh & ~seen
             reach[p] = seen
             out[p] = exits
-        return tuple(out)
+            finished |= 1 << p
+        return tuple([out[p] for p in targets]), (succ, rights, reach, out)
 
-    def accepts_from(e: int, rel: tuple[int, ...]) -> bool:
+    def enter(e: int, cell) -> int:
+        """The states in which a head entering ``cell`` in some state of
+        ``e`` can exit it right: one search from the whole set, which takes
+        every target's reach and exits from ``step`` whole."""
+        succ, rights, reach, out = cell
+        seen = frontier = e
+        exits = 0
+        while frontier:
+            done, todo = frontier & all_targets, frontier & ~all_targets
+            exits |= image(out, done) | image(rights, todo)
+            seen |= image(reach, done)
+            frontier = image(succ, todo) & ~seen
+            seen |= frontier
+        return exits
+
+    def accepts_from(e: int, table: tuple[int, ...]) -> bool:
         """Whether entering the right endmarker in some state of ``e``
         reaches a final state there: one search from the whole set."""
-        succ = dips(RIGHT_END, rel)
+        succ = dips(RIGHT_END, table)
         seen = frontier = e
         while frontier:
             if frontier & finals_mask:
@@ -274,8 +329,8 @@ def two_to_one(t: TwoNWA, cap: int = DEFAULT_DET_CAP, within: NWA | None = None)
         return False
 
     # behavior over the left endmarker alone: nothing lies left of it
-    t0 = step(LEFT_END, ())
-    e0 = t0[t.initial]
+    table0, cell0 = step(LEFT_END, ())
+    start = (enter(1 << t.initial, cell0), table0)
 
     alphabet = sorted(t.alphabet)
     if within is None:
@@ -289,22 +344,22 @@ def two_to_one(t: TwoNWA, cap: int = DEFAULT_DET_CAP, within: NWA | None = None)
             for g in range(within.n_states)
         }
 
-    # memoized per relation: its successor per symbol
-    successors: dict[tuple[int, ...], dict[str, tuple[int, ...]]] = {}
-    index: dict[tuple[int, tuple[int, ...]], int] = {(e0, t0): 0}
-    seen = {(g, (e0, t0)) for g in guide_initials}
+    # memoized per table: step's result per symbol
+    steps: dict[tuple[int, ...], dict[str, tuple]] = {}
+    index: dict[tuple[int, tuple[int, ...]], int] = {start: 0}
+    seen = {(g, start) for g in guide_initials}
     queue = deque(sorted(seen))
     transitions = set()
     while queue:
         g, key = queue.popleft()
-        e, rel = key
+        e, table = key
         src = index[key]
-        succ = successors.setdefault(rel, {})
+        stepped = steps.setdefault(table, {})
         for symbol, guide_next in guide_moves[g]:
-            rel2 = succ.get(symbol)
-            if rel2 is None:
-                rel2 = succ[symbol] = step(symbol, rel)
-            key2 = (image(rel2, e), rel2)
+            if symbol not in stepped:
+                stepped[symbol] = step(symbol, table)
+            table2, cell = stepped[symbol]
+            key2 = (enter(e, cell), table2)
             if key2 not in index:
                 if len(index) >= cap:
                     raise CapExceeded("two-way conversion", cap)
@@ -314,7 +369,7 @@ def two_to_one(t: TwoNWA, cap: int = DEFAULT_DET_CAP, within: NWA | None = None)
                 if (g2, key2) not in seen:
                     seen.add((g2, key2))
                     queue.append((g2, key2))
-    finals = {i for (e, rel), i in index.items() if accepts_from(e, rel)}
+    finals = {i for (e, table), i in index.items() if accepts_from(e, table)}
     return NWA(len(index), t.alphabet, {0}, finals, transitions)
 
 

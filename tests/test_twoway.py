@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter
 
@@ -28,6 +29,34 @@ from .conftest import all_words
 
 def rx2(text):
     return compile_regex(parse_regex(text, None, two_way=True))
+
+
+def fold_referee(a: NWA) -> TwoNWA:
+    """The fold machine of ``a`` built move by move as a transition set and
+    filed by ``TwoNWA``'s validating constructor: the referee for the
+    tables ``fold_automaton`` fills directly, and the machine the tests run
+    ``accepts_two`` on.  States: 0 = start, (p, R) = 1 + 2p, (p, L) = 2 + 2p."""
+    tape = sorted(a.alphabet | {inverse(s) for s in a.alphabet})
+
+    def right_state(p):
+        return 1 + 2 * p
+
+    def left_state(p):
+        return 2 + 2 * p
+
+    transitions = set()
+    for p in range(a.n_states):
+        if p in a.initials:
+            transitions.add((0, LEFT_END, RIGHT, right_state(p)))
+        for s in tape + [RIGHT_END]:
+            transitions.add((right_state(p), s, LEFT, left_state(p)))
+        for s in tape + [LEFT_END]:
+            transitions.add((left_state(p), s, RIGHT, right_state(p)))
+    for p, x, q in a.transitions:
+        transitions.add((right_state(p), x, RIGHT, right_state(q)))
+        transitions.add((left_state(p), inverse(x), LEFT, left_state(q)))
+    finals = {right_state(f) for f in a.finals}
+    return TwoNWA(1 + 2 * a.n_states, tape, 0, finals, transitions)
 
 
 def brute_fold_accepts(a: NWA, u, max_v_len):
@@ -93,10 +122,10 @@ def test_forward_language_included_in_fold():
 
 def test_two_to_one_matches_direct_two_way_run():
     a = rx2("a b^- a")
-    t = fold_automaton(a)
-    one = two_to_one(t)
+    one = two_to_one(fold_automaton(a))
+    referee = fold_referee(a)
     for w in all_words({"a", "a^-", "b", "b^-"}, 3):
-        assert accepts(one, w) == accepts_two(t, w)
+        assert accepts(one, w) == accepts_two(referee, w)
 
 
 # A snapshot of two_to_one(fold_automaton(rx2("a b b^- b c"))): per state,
@@ -104,10 +133,9 @@ def test_two_to_one_matches_direct_two_way_run():
 # of the unguided construction shows.
 _PINNED_SYMBOLS = ("a", "a^-", "b", "b^-", "c", "c^-")
 _PINNED_ROWS = [
-    (1, 2, 3, 4, 5, 2), (6, 2, 7, 4, 5, 2), (6, 2, 3, 4, 5, 2), (6, 2, 3, 4, 8, 2),
-    (6, 2, 9, 4, 5, 2), (6, 2, 3, 4, 5, 2), (6, 2, 3, 4, 5, 2), (6, 2, 3, 10, 11, 2),
-    (6, 2, 3, 4, 5, 2), (6, 2, 3, 4, 8, 2), (6, 2, 12, 4, 5, 2), (6, 2, 3, 4, 5, 2),
-    (6, 2, 3, 4, 11, 2),
+    (1, 2, 3, 4, 2, 2), (2, 2, 5, 4, 2, 2), (2, 2, 3, 4, 2, 2), (2, 2, 3, 4, 2, 2),
+    (2, 2, 3, 4, 2, 2), (2, 2, 3, 6, 7, 2), (2, 2, 8, 4, 2, 2), (2, 2, 3, 4, 2, 2),
+    (2, 2, 3, 4, 7, 2),
 ]
 
 
@@ -119,7 +147,7 @@ def test_two_to_one_numbering_is_pinned():
         for symbol, q in zip(_PINNED_SYMBOLS, row)
     )
     assert (one.n_states, sorted(one.finals), sorted(one.transitions)) == (
-        13, [11], transitions
+        9, [7], transitions
     )
     assert one.initials == {0}
 
@@ -230,6 +258,26 @@ def test_fold_difference_gives_the_full_construction_witness():
     assert tally["holds"] >= 60 and tally["fails"] >= 100 and tally["sink"] >= 40, tally
 
 
+# sha256 over repr(fold_difference(x, y)) of every pair drawn below, in
+# both directions, as the construction that keyed crossing states by the
+# whole crossing relation computed them
+_PINNED_WITNESS_DIGEST = "23106dedeaa1c32d40036e7b065e5923ad60029ba876bbde211932182f1e7b93"
+
+
+def test_fold_difference_words_are_pinned():
+    rng = random.Random(73)
+    digest = hashlib.sha256()
+    tally = Counter()
+    for t1, t2 in _witness_pairs(rng, 2000):
+        q1, q2 = rx2(t1), rx2(t2)
+        for a, b in ((q1, q2), (q2, q1)):
+            word = fold_difference(a, b)
+            digest.update(repr(word).encode())
+            tally["holds" if word is None else "fails"] += 1
+    assert digest.hexdigest() == _PINNED_WITNESS_DIGEST, tally
+    assert tally["holds"] >= 1000 and tally["fails"] >= 2000, tally
+
+
 def test_two_way_check_separates_like_the_full_construction():
     # capture_check on word views: both directions of each mapping against
     # the one-way difference with the unguided conversion
@@ -273,12 +321,12 @@ def test_guided_conversion_agrees_with_the_two_way_run_on_guide_words():
     rng = random.Random(43)
     outcomes = []
     for q1, q2 in _random_2rpq_pairs(rng, 40):
-        t = fold_automaton(q2)
-        one = two_to_one(t, within=q1)
+        one = two_to_one(fold_automaton(q2), within=q1)
+        referee = fold_referee(q2)
         words = enumerate_language(q1, 5, cap=100_000)
         for w in rng.sample(words, min(len(words), 12)):
-            assert accepts(one, w) == accepts_two(t, w), (q1, q2, w)
-            outcomes.append(accepts_two(t, w))
+            assert accepts(one, w) == accepts_two(referee, w), (q1, q2, w)
+            outcomes.append(accepts_two(referee, w))
     assert outcomes.count(True) >= 40 and outcomes.count(False) >= 40
 
 
@@ -334,7 +382,7 @@ def random_two_nwa(rng, labels):
 def test_two_to_one_matches_genuine_two_way_runs():
     rng = random.Random(47)
     labels = ("x", "y")
-    words = list(all_words(labels, 4))
+    words = list(all_words(labels, 5))
     outcomes = []
     for _ in range(60):
         t = random_two_nwa(rng, labels)
@@ -362,7 +410,7 @@ def test_two_nwa_rejects_bad_moves(move, message):
 
 
 @pytest.mark.parametrize("make", [
-    lambda: fold_automaton(rx2("a b b^- b c")),
+    lambda: fold_referee(rx2("a b b^- b c")),
     lambda: random_two_nwa(random.Random(53), ("x", "y")),
 ])
 def test_move_tables_hold_exactly_the_transitions(make):
@@ -379,11 +427,37 @@ def test_move_tables_hold_exactly_the_transitions(make):
     assert all(len(rows) == t.n_states for rows in t.right.values())
 
 
+def _fold_inputs():
+    """The pinned example, an empty-language and an eps-only query, seeded
+    2RPQs with inverses, and random automata over a label and its inverse."""
+    yield rx2("a b b^- b c")
+    yield rx2("empty")
+    yield rx2("eps")
+    rng = random.Random(59)
+    for _ in range(40):
+        yield rx2(_render(_random_query_tree(rng, rng.randint(1, 8)), rng))
+    for _ in range(20):
+        yield random_nwa_to_fold(rng, ("a", "a^-"))
+
+
+def test_fold_tables_match_the_transition_set_referee():
+    for a in _fold_inputs():
+        t, referee = fold_automaton(a), fold_referee(a)
+        assert (t.n_states, t.alphabet, t.initial, t.finals) == (
+            referee.n_states, referee.alphabet, referee.initial, referee.finals
+        )
+        assert t.right == referee.right, a
+        assert {s: set(pairs) for s, pairs in t.left.items()} == {
+            s: set(pairs) for s, pairs in referee.left.items()
+        }, a
+        assert all(len(set(pairs)) == len(pairs) for pairs in t.left.values()), a
+
+
 def test_two_to_one_cap_edge_is_pinned():
     # the cap counts crossing states built; --det-cap exit codes rest on it
     t = fold_automaton(rx2("a b b^- b c"))
     guide = rx2("a (b|b^-)* c")
-    for within, size in ((None, 13), (guide, 11)):
+    for within, size in ((None, 9), (guide, 9)):
         assert two_to_one(t, cap=size, within=within).n_states == size
         with pytest.raises(CapExceeded):
             two_to_one(t, cap=size - 1, within=within)
