@@ -40,7 +40,7 @@ c1 = class_of(target, ("1",), monoid)
 seed = {"a1": frozenset({c0}), "a2": frozenset({c0})}
 grown = maximize(instance, seed)
 print("\nmaximize from (0, 0):",
-      {s: r.render() for s, r in sorted(views_to_regex(grown, monoid).items())})
+      {s: r.render() for s, r in sorted(views_to_regex(realize_views(grown, monoid)).items())})
 
 # the pointwise union of the two incomparable maxima is NOT a capture
 union = {"a1": frozenset({c0, c1}), "a2": frozenset({c0, c1})}

@@ -14,10 +14,9 @@ views, and the realized set is closed under composition by construction.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 
 from .errors import InputError
-from .model import Word
+from .model import FrozenRecord, Word
 from .automata import NWA, bits, explore, image
 
 DEFAULT_MONOID_CAP = 100_000
@@ -44,8 +43,9 @@ def relation_of_word(a: NWA, word: Word) -> tuple[int, ...]:
     )
 
 
-@dataclass(frozen=True)
-class TransitionMonoid:
+class TransitionMonoid(
+    FrozenRecord, compared=("alphabet", "elements", "witnesses", "identity_index")
+):
     """The word-realized relations of an NWA, closed under composition.
 
     ``elements`` is in canonical order: by the integer that shifts row
@@ -54,15 +54,18 @@ class TransitionMonoid:
     may be a subset of the automaton's alphabet: labels of the automaton
     that are not declared target symbols, as in an instance built through
     the library rather than parsed, never occur in a view language and
-    generate nothing.
+    generate nothing.  Equality ignores the two lookup tables, which follow
+    from the rest.
     """
 
-    alphabet: tuple[str, ...]
-    elements: tuple[tuple[int, ...], ...]
-    witnesses: tuple[Word, ...]
-    identity_index: int
-    _index_of: dict[tuple[int, ...], int] = field(compare=False)
-    _right_mul: dict[tuple[int, str], int] = field(compare=False)
+    __slots__ = ("alphabet", "elements", "witnesses", "identity_index", "_index_of", "_right_mul")
+
+    def __init__(
+        self, alphabet: tuple[str, ...], elements: tuple[tuple[int, ...], ...],
+        witnesses: tuple[Word, ...], identity_index: int,
+        _index_of: dict[tuple[int, ...], int], _right_mul: dict[tuple[int, str], int],
+    ):
+        self._fill(alphabet, elements, witnesses, identity_index, _index_of, _right_mul)
 
     def index_of(self, relation: tuple[int, ...]) -> int:
         idx = self._index_of.get(relation)

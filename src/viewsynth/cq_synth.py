@@ -45,10 +45,9 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterator
 from copy import copy
-from dataclasses import asdict, dataclass
 
 from .errors import BudgetExceeded, InputError
-from .model import Atom, CQ, ProblemInstance, UCQ
+from .model import Atom, CQ, FrozenRecord, ProblemInstance, UCQ
 from .report import CaptureResult, Check, SearchStats, SynthesisReport
 from .search import DEFAULT_SEARCH_BUDGET, search
 
@@ -251,19 +250,25 @@ def refuted_by_signature(
 # Bounds and candidate enumeration
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SynthesisBounds:
+class SynthesisBounds(FrozenRecord):
     """Search bounds making the candidate enumeration complete.  The atom
     and disjunct bounds cap what the search enumerates; ``variable_bound``
     is only the reported ceiling, since each layer sizes its own variable
-    pool by its atom count (``enumerate_view_candidates``)."""
+    pool by its atom count (``enumerate_view_candidates``).  ``atom_bound``
+    sums over mappings the largest target disjunct, ``disjunct_bound``
+    counts the target disjuncts across mappings."""
 
-    atom_bound: int      # sum over mappings of the largest target disjunct
-    disjunct_bound: int  # total target disjuncts across mappings
-    variable_bound: int
+    __slots__ = ("atom_bound", "disjunct_bound", "variable_bound")
+
+    def __init__(self, atom_bound: int, disjunct_bound: int, variable_bound: int):
+        self._fill(atom_bound, disjunct_bound, variable_bound)
 
     def to_json(self):
-        return asdict(self)
+        return {
+            "atom_bound": self.atom_bound,
+            "disjunct_bound": self.disjunct_bound,
+            "variable_bound": self.variable_bound,
+        }
 
 
 def bounds_for(instance: ProblemInstance) -> SynthesisBounds:

@@ -3,12 +3,17 @@
 All values here are immutable after construction and safe to share across
 threads.  Parsing lives in :mod:`viewsynth.parser`; this module only defines
 the shapes and their printers.
+
+The values are ``__slots__`` records (:class:`FrozenRecord`), not
+dataclasses, whose import and generated methods would cost every CLI launch
+milliseconds.  The regex nodes, atoms and CQs, built in bulk, spell out
+their own equality and hashing, which is faster than the generic ones.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, Union
+import functools
+from collections.abc import Iterator
 
 from .errors import InputError
 
@@ -33,34 +38,90 @@ def base_label(label: str) -> str:
 
 
 # ---------------------------------------------------------------------------
+# Records
+# ---------------------------------------------------------------------------
+
+_set = object.__setattr__  # how a frozen record's constructor sets its fields
+
+
+class Record:
+    """Base of the slotted records: equality by exact type and the fields
+    named ``compared``, and a repr in dataclass form over those named
+    ``shown``.  Both default to the class's own ``__slots__``, which list
+    its fields in constructor order, and are given as class keywords."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, compared=None, shown=None):
+        fields = cls.__dict__.get("__slots__", ())
+        cls._compared = fields if compared is None else compared
+        cls._shown = fields if shown is None else shown
+
+    def _fill(self, *values) -> None:
+        """Set the fields, in ``__slots__`` order, bypassing immutability."""
+        for name, value in zip(self.__slots__, values):
+            _set(self, name, value)
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._compared])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class FrozenRecord(Record):
+    """An immutable, hashable :class:`Record`."""
+
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # copy and pickle rebuild through the constructor
+        return type(self), tuple([getattr(self, name) for name in self.__slots__])
+
+
+# ---------------------------------------------------------------------------
 # Symbols
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SymbolId:
+class SymbolId(FrozenRecord):
     """A declared relation symbol, either source-side or target-side."""
 
-    name: str
-    kind: str  # "source" | "target"
-    arity: int = 2
+    __slots__ = ("name", "kind", "arity")
 
-    def __post_init__(self):
-        if self.kind not in ("source", "target"):
-            raise InputError(f"bad symbol kind {self.kind!r}")
-        if self.arity < 1:
-            raise InputError(f"symbol {self.name} has non-positive arity")
+    def __init__(self, name: str, kind: str, arity: int = 2):
+        if kind not in ("source", "target"):
+            raise InputError(f"bad symbol kind {kind!r}")
+        if arity < 1:
+            raise InputError(f"symbol {name} has non-positive arity")
+        self._fill(name, kind, arity)  # kind: "source" | "target"
 
 
 # ---------------------------------------------------------------------------
 # Regular expressions (RPQ / 2RPQ queries)
 # ---------------------------------------------------------------------------
 
-class Regex:
+class Regex(FrozenRecord):
     """Base class for regular-expression AST nodes.
 
     Leaves carry symbol names; in 2RPQ mode a leaf label may end in ``^-``
     to denote the inverse of a base symbol.
     """
+
+    __slots__ = ()
 
     def symbols(self) -> Iterator[str]:
         """Yield every leaf label (with inverse suffix, if any)."""
@@ -73,47 +134,81 @@ class Regex:
         return f"{type(self).__name__}({self.render()!r})"
 
 
-@dataclass(frozen=True, repr=False)
 class REmpty(Regex):
+    __slots__ = ()
+
     def symbols(self):
         return iter(())
 
 
-@dataclass(frozen=True, repr=False)
 class REps(Regex):
+    __slots__ = ()
+
     def symbols(self):
         return iter(())
 
 
-@dataclass(frozen=True, repr=False)
 class RSym(Regex):
-    label: str
+    __slots__ = ("label",)
+
+    def __init__(self, label: str):
+        _set(self, "label", label)
+
+    def __eq__(self, other):
+        return self.label == other.label if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash((self.label,))
 
     def symbols(self):
         yield self.label
 
 
-@dataclass(frozen=True, repr=False)
 class RCat(Regex):
-    parts: tuple[Regex, ...]
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: tuple[Regex, ...]):
+        _set(self, "parts", parts)
+
+    def __eq__(self, other):
+        return self.parts == other.parts if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash((self.parts,))
 
     def symbols(self):
         for p in self.parts:
             yield from p.symbols()
 
 
-@dataclass(frozen=True, repr=False)
 class RAlt(Regex):
-    parts: tuple[Regex, ...]
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: tuple[Regex, ...]):
+        _set(self, "parts", parts)
+
+    def __eq__(self, other):
+        return self.parts == other.parts if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash((self.parts,))
 
     def symbols(self):
         for p in self.parts:
             yield from p.symbols()
 
 
-@dataclass(frozen=True, repr=False)
 class RStar(Regex):
-    inner: Regex
+    __slots__ = ("inner",)
+
+    def __init__(self, inner: Regex):
+        _set(self, "inner", inner)
+
+    def __eq__(self, other):
+        return self.inner == other.inner if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash((self.inner,))
 
     def symbols(self):
         return self.inner.symbols()
@@ -192,21 +287,49 @@ def _render(r: Regex, level: int) -> str:
 # Conjunctive queries
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, order=True)
-class Atom:
-    pred: str
-    args: tuple[str, ...]
+@functools.total_ordering
+class Atom(FrozenRecord):
+    """One atom ``pred(args)``; atoms order by predicate, then arguments."""
+
+    __slots__ = ("pred", "args")
+
+    def __init__(self, pred: str, args: tuple[str, ...]):
+        _set(self, "pred", pred)
+        _set(self, "args", args)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.pred == other.pred and self.args == other.args
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.pred, self.args))
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.pred, self.args) < (other.pred, other.args)
+        return NotImplemented
 
     def render(self) -> str:
         return f"{self.pred}({','.join(self.args)})"
 
 
-@dataclass(frozen=True)
-class CQ:
+class CQ(FrozenRecord):
     """A conjunctive query: head variable tuple plus a body of atoms."""
 
-    head: tuple[str, ...]
-    atoms: tuple[Atom, ...]
+    __slots__ = ("head", "atoms")
+
+    def __init__(self, head: tuple[str, ...], atoms: tuple[Atom, ...]):
+        _set(self, "head", head)
+        _set(self, "atoms", atoms)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.head == other.head and self.atoms == other.atoms
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.head, self.atoms))
 
     def variables(self) -> set[str]:
         out = set(self.head)
@@ -222,18 +345,18 @@ class CQ:
         return f"{head_name}({','.join(self.head)}) :- {body}"
 
 
-@dataclass(frozen=True)
-class UCQ:
+class UCQ(FrozenRecord):
     """A union of conjunctive queries sharing one head arity."""
 
-    disjuncts: tuple[CQ, ...]
+    __slots__ = ("disjuncts",)
 
-    def __post_init__(self):
-        if not self.disjuncts:
+    def __init__(self, disjuncts: tuple[CQ, ...]):
+        if not disjuncts:
             raise InputError("a UCQ needs at least one disjunct")
-        arities = {len(d.head) for d in self.disjuncts}
+        arities = {len(d.head) for d in disjuncts}
         if len(arities) != 1:
             raise InputError("UCQ disjuncts disagree on head arity")
+        self._fill(disjuncts)
 
     @property
     def arity(self) -> int:
@@ -249,19 +372,20 @@ class UCQ:
         return " ; ".join(d.render() for d in self.disjuncts)
 
 
-Query = Union[Regex, UCQ]
+Query = Regex | UCQ
 
 
 # ---------------------------------------------------------------------------
 # Mappings and instances
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Mapping:
+class Mapping(FrozenRecord):
     """One schema mapping: a source query rewriting a target query."""
 
-    source: Query
-    target: Query
+    __slots__ = ("source", "target")
+
+    def __init__(self, source: Query, target: Query):
+        self._fill(source, target)
 
     def render(self) -> str:
         return f"{self.source.render()} ~> {self.target.render()}"
@@ -272,22 +396,22 @@ RELATIONAL_KINDS = ("cq", "ucq")
 KINDS = PATH_KINDS + RELATIONAL_KINDS
 
 
-@dataclass(frozen=True)
-class ProblemInstance:
-    """A parsed view-synthesis problem."""
+class ProblemInstance(FrozenRecord, compared=("kind", "mappings", "mode")):
+    """A parsed view-synthesis problem.  Equality ignores ``symbols``."""
 
-    kind: str
-    symbols: dict[str, SymbolId] = field(compare=False)
-    mappings: tuple[Mapping, ...] = ()
-    mode: str = "sound"  # "sound" | "exact"
+    __slots__ = ("kind", "symbols", "mappings", "mode")
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise InputError(f"unknown kind {self.kind!r}")
-        if self.mode not in ("sound", "exact"):
-            raise InputError(f"unknown mode {self.mode!r}")
-        if not self.mappings:
+    def __init__(
+        self, kind: str, symbols: dict[str, SymbolId], mappings: tuple[Mapping, ...] = (),
+        mode: str = "sound",
+    ):
+        if kind not in KINDS:
+            raise InputError(f"unknown kind {kind!r}")
+        if mode not in ("sound", "exact"):
+            raise InputError(f"unknown mode {mode!r}")
+        if not mappings:
             raise InputError("an instance needs at least one mapping")
+        self._fill(kind, symbols, mappings, mode)
 
     @property
     def source_names(self) -> tuple[str, ...]:

@@ -8,6 +8,8 @@ The instance grammar is line-oriented; ``#`` starts a comment.  Keywords:
     target NAME ...
     map    QUERY ~> QUERY
 
+A ``kind`` or ``mode`` line may repeat only with the same value.
+
 Regex operators: ``.`` or juxtaposition for concatenation, ``|`` or ``+``
 for union, ``*`` for iteration, ``eps`` / ``empty`` for the unit and zero
 languages.  In 2rpq instances a symbol may carry the inverse suffix ``^-``.
@@ -288,7 +290,7 @@ def parse_ucq_over(text: str, facts: dict[str, set[tuple[str, ...]]]) -> UCQ:
 def parse_instance(text: str) -> ProblemInstance:
     """Parse an instance file into a :class:`ProblemInstance`."""
     kind: str | None = None
-    mode = "sound"
+    mode: str | None = None
     symbols: dict[str, SymbolId] = {}
     map_lines: list[tuple[int, str]] = []
 
@@ -304,6 +306,8 @@ def parse_instance(text: str) -> ProblemInstance:
         elif keyword == "mode":
             if rest not in ("sound", "exact"):
                 raise ParseError(f"unknown mode {rest!r}", lineno)
+            if mode is not None and rest != mode:
+                raise ParseError("mode declared twice", lineno)
             mode = rest
         elif keyword in ("source", "target"):
             if kind is None:
@@ -329,7 +333,7 @@ def parse_instance(text: str) -> ProblemInstance:
         if not arrow:
             raise ParseError("a mapping needs '~>'", lineno)
         mappings.append(Mapping(*parse_pair(kind, src_text, tgt_text, symbols, line=lineno)))
-    return ProblemInstance(kind=kind, symbols=symbols, mappings=tuple(mappings), mode=mode)
+    return ProblemInstance(kind, symbols, tuple(mappings), mode or "sound")
 
 
 def _parse_symbol_decl(decl: str, side: str, kind: str, lineno: int) -> SymbolId:

@@ -11,18 +11,10 @@ with ``bounds``) lists its checks as a bare list of records.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
-
-from .model import Word
-
-if TYPE_CHECKING:
-    from .congruence import TransitionMonoid
-    from .cq_synth import SynthesisBounds
+from .model import Record, Word
 
 
-@dataclass
-class Check:
+class Check(Record):
     """Capture record for one mapping under given views.
 
     Path records carry words: a ``witness`` of the rewriting, a
@@ -32,13 +24,18 @@ class Check:
     ``reverse_contained`` is set in exact mode only.
     """
 
-    contained: bool
-    nonempty: bool
-    reverse_contained: "bool | None" = None
-    witness: "Word | None" = None
-    separating: "Word | None" = None
-    reverse_separating: "Word | None" = None
-    disjuncts: "int | None" = None
+    __slots__ = ("contained", "nonempty", "reverse_contained", "witness", "separating",
+                 "reverse_separating", "disjuncts")
+
+    def __init__(
+        self, contained: bool, nonempty: bool, reverse_contained: bool | None = None,
+        witness: Word | None = None, separating: Word | None = None,
+        reverse_separating: Word | None = None, disjuncts: int | None = None,
+    ):
+        self._fill(
+            contained, nonempty, reverse_contained, witness, separating, reverse_separating,
+            disjuncts,
+        )
 
     def ok(self, mode: str) -> bool:
         good = self.contained and self.nonempty
@@ -61,12 +58,13 @@ class Check:
         return out
 
 
-@dataclass
-class CaptureResult:
+class CaptureResult(Record):
     """The capture verdict over all mappings."""
 
-    mode: str
-    per_mapping: list[Check]
+    __slots__ = ("mode", "per_mapping")
+
+    def __init__(self, mode: str, per_mapping: list[Check]):
+        self._fill(mode, per_mapping)
 
     @property
     def ok(self) -> bool:
@@ -80,21 +78,26 @@ class CaptureResult:
         }
 
 
-@dataclass
-class SearchStats:
+class SearchStats(Record):
     """Counters of one view search.  The JSON holds ``mode`` and whichever
     of ``monoid_size`` (path search) or ``view_kind`` (relational search)
     is set; the counters and the elapsed time are kept for tracing only,
     so JSON reports stay byte-identical across runs."""
 
-    mode: str
-    monoid_size: "int | None" = None
-    view_kind: "str | None" = None
-    assignments_tried: int = 0
-    prefixes_pruned: int = 0
-    checks: int = 0
-    candidates_per_symbol: dict[str, int] = field(default_factory=dict)
-    elapsed: float = 0.0
+    __slots__ = ("mode", "monoid_size", "view_kind", "assignments_tried", "prefixes_pruned",
+                 "checks", "candidates_per_symbol", "elapsed")
+
+    def __init__(
+        self, mode: str, monoid_size: int | None = None, view_kind: str | None = None,
+        assignments_tried: int = 0, prefixes_pruned: int = 0, checks: int = 0,
+        candidates_per_symbol: dict[str, int] | None = None, elapsed: float = 0.0,
+    ):
+        if candidates_per_symbol is None:
+            candidates_per_symbol = {}
+        self._fill(
+            mode, monoid_size, view_kind, assignments_tried, prefixes_pruned, checks,
+            candidates_per_symbol, elapsed,
+        )
 
     def to_json(self):
         out = {"mode": self.mode}
@@ -105,25 +108,31 @@ class SearchStats:
         return out
 
 
-@dataclass
-class SynthesisReport:
+class SynthesisReport(
+    Record,
+    shown=("outcome", "views", "checks", "stats", "views_regex", "all_views",
+           "all_views_regex", "bounds"),
+):
     """Outcome of a view search.
 
     ``views`` maps each source symbol to its view in the search's own form.
     A path search also sets ``views_regex`` (and ``all_views_regex`` with
     ``all_views``) as their rendered languages and ``monoid``; a relational
-    search sets ``bounds``.
+    search sets ``bounds``.  The repr leaves out ``monoid``.
     """
 
-    outcome: str  # "found" | "not-found"
-    views: "dict | None"
-    checks: "CaptureResult | None"
-    stats: SearchStats
-    views_regex: "dict | None" = None
-    all_views: "list[dict] | None" = None
-    all_views_regex: "list[dict] | None" = None
-    bounds: "SynthesisBounds | None" = None
-    monoid: "TransitionMonoid | None" = field(default=None, repr=False)
+    __slots__ = ("outcome", "views", "checks", "stats", "views_regex", "all_views",
+                 "all_views_regex", "bounds", "monoid")
+
+    def __init__(
+        self, outcome: str, views: dict | None, checks: CaptureResult | None,
+        stats: SearchStats, views_regex: dict | None = None, all_views: list[dict] | None = None,
+        all_views_regex: list[dict] | None = None, bounds: SynthesisBounds | None = None,
+        monoid: TransitionMonoid | None = None,
+    ):
+        self._fill(  # outcome: "found" | "not-found"
+            outcome, views, checks, stats, views_regex, all_views, all_views_regex, bounds, monoid
+        )
 
     @property
     def found(self) -> bool:

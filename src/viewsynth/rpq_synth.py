@@ -496,19 +496,20 @@ def synthesize(
         return SynthesisReport("not-found", None, None, stats, monoid=engine.monoid)
 
     best = solutions[0]
+    realized = realize_views(best, engine.monoid)
     report = SynthesisReport(
         outcome="found",
         views=best,
-        checks=capture_check(
-            instance, realize_views(best, engine.monoid), mode, det_cap, checkers=engine.checkers
-        ),
+        checks=capture_check(instance, realized, mode, det_cap, checkers=engine.checkers),
         stats=stats,
-        views_regex=views_to_regex(best, engine.monoid),
+        views_regex=views_to_regex(realized),
         monoid=engine.monoid,
     )
     if find_all:
         report.all_views = solutions
-        report.all_views_regex = [views_to_regex(v, engine.monoid) for v in solutions]
+        report.all_views_regex = [report.views_regex] + [
+            views_to_regex(realize_views(v, engine.monoid)) for v in solutions[1:]
+        ]
     return report
 
 
@@ -569,9 +570,10 @@ def _maximize_with_engine(engine: _Engine, views: ClassViews) -> ClassViews:
 # Presentation
 # ---------------------------------------------------------------------------
 
-def views_to_regex(views: ClassViews, monoid: TransitionMonoid) -> dict[str, Regex]:
-    """Render each view language as a regex (state elimination on its NWA)."""
+def views_to_regex(realized: dict[str, "NWA | None"]) -> dict[str, Regex]:
+    """Render each view language, as :func:`realize_views` gives it, as a
+    regex (state elimination on its NWA)."""
     return {
         sym: EMPTY_REGEX if nwa is None else nwa_to_regex(nwa)
-        for sym, nwa in realize_views(views, monoid).items()
+        for sym, nwa in realized.items()
     }

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -110,6 +112,21 @@ def test_synth_bad_file_exit_2(capsys, tmp_path):
     code, _, err = run(capsys, "synth", str(bad))
     assert code == 2
     assert "zz" in err
+
+
+def test_synth_conflicting_mode_lines_exit_2(capsys, tmp_path):
+    body = "kind rpq\nsource a\ntarget b\nmap a ~> b\n"
+    bad = tmp_path / "bad.vs"
+    bad.write_text("mode sound\n" + body + "mode exact\n", encoding="utf-8")
+    code, out, err = run(capsys, "synth", str(bad))
+    assert (code, out) == (2, "")
+    assert "line 6: mode declared twice" in err
+    # a repeated mode line that agrees is accepted, as for kind
+    same = tmp_path / "same.vs"
+    same.write_text("mode exact\n" + body + "mode exact\n", encoding="utf-8")
+    code, out, _ = run(capsys, "synth", "--format", "json", str(same))
+    assert code == 0
+    assert json.loads(out)["statistics"]["mode"] == "exact"
 
 
 def test_synth_sound_empty_target_is_not_found_at_once(capsys, tmp_path):
@@ -967,3 +984,31 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+# --- launch ----------------------------------------------------------------------
+
+ENGINE = ("model", "parser", "automata", "congruence", "report", "search", "rpq_synth",
+          "cq_synth", "twoway")
+
+
+def test_cli_import_path_is_lean_and_eager():
+    # every launch pays for what importing the CLI loads: no dataclasses,
+    # inspect or typing; -S keeps site's .pth files from loading them first.
+    # The engine modules load at import, not in a command handler, and the
+    # referee only in the oracle subcommands.
+    probe = (
+        "import json, sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import viewsynth.cli\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe, str(src)], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout))
+    assert loaded.isdisjoint({"dataclasses", "inspect", "typing"})
+    assert {f"viewsynth.{name}" for name in ENGINE} <= loaded
+    assert "viewsynth.oracle" not in loaded

@@ -76,6 +76,7 @@ CQ_HEAD = "kind cq\nsource a/2\ntarget r/2\n"
     "instance, views, message, line",
     [
         ("kind rpq\nkind cq\n", None, "kind declared twice", 2),
+        ("kind rpq\nmode sound\nmode exact\n", None, "mode declared twice", 3),
         ("source a\nkind rpq\n", None, "kind must be declared before symbols", 1),
         ("map a ~> b\n", None, "missing kind declaration", None),
         ("kind rpq\nsource a/2\n", None, "path symbols take no arity: 'a/2'", 2),

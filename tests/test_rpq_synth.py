@@ -464,13 +464,13 @@ def test_sound_solution_is_already_maximal(sec6_sound):
 def test_views_to_regex_single_class(sec6_context):
     _, target, monoid = sec6_context
     views = {"x": frozenset({class_of(target, ("b1",), monoid)})}
-    rendered = views_to_regex(views, monoid)
+    rendered = views_to_regex(realize_views(views, monoid))
     assert rendered["x"].render() == "b1"
 
 
 def test_views_to_regex_empty_token(sec6_context):
     _, _, monoid = sec6_context
-    rendered = views_to_regex({"x": frozenset()}, monoid)
+    rendered = views_to_regex(realize_views({"x": frozenset()}, monoid))
     assert rendered["x"].render() == "empty"
 
 
@@ -479,7 +479,7 @@ def test_views_to_regex_union_equivalent(sec6_exact):
     monoid = transition_monoid(target, generators=("0", "1"))
     c0 = class_of(target, ("0",), monoid)
     c1 = class_of(target, ("1",), monoid)
-    rendered = views_to_regex({"x": frozenset({c0, c1})}, monoid)
+    rendered = views_to_regex(realize_views({"x": frozenset({c0, c1})}, monoid))
     got = compile_regex(rendered["x"])
     want = compile_regex(parse_regex("0|1", {"0", "1"}))
     assert equivalent(got, want)
@@ -742,6 +742,7 @@ def test_search_builds_no_automata_per_candidate(monkeypatch, name, mode, find_a
 
     counting("substitute")
     counting("difference_witness")
+    counting("class_automaton")
     # the assignments the monoid passes, decided here apart from the engine
     passed = []
     original_ok = rpq_synth._Engine.assignment_ok
@@ -761,11 +762,14 @@ def test_search_builds_no_automata_per_candidate(monkeypatch, name, mode, find_a
     assert counts[0] == counts[1]
     # only the report's own check: one substitution per mapping, compared
     # with the target one way (sound) or both ways (exact); the exact
-    # search decides its reverse containment in the monoid
+    # search decides its reverse containment in the monoid.  Each reported
+    # view is realized once, for both the check and its rendering.
     directions = 2 if mode == "exact" else 1
+    reported = report.all_views if find_all else [report.views]
     assert counts[0] == {
         "substitute": len(inst.mappings),
         "difference_witness": directions * len(inst.mappings),
+        "class_automaton": sum(bool(view) for views in reported for view in views.values()),
     }
     if mode == "exact":
         # many assignments reached the reverse check, none substituted
