@@ -418,7 +418,8 @@ def nwa_to_regex(a: NWA) -> Regex:
             return
         edges[(p, q)] = ralt([edges[(p, q)], r]) if (p, q) in edges else r
 
-    for p, x, q in a.transitions:
+    # sorted, so that parallel labels join in one order under any hash seed
+    for p, x, q in sorted(a.transitions):
         add(p, q, RSym(x))
     for i in a.initials:
         add(start, i, EPS)

@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 found / holds / pass, 1 not-found / does not hold / fail,
-2 input error, 3 resource cap or search budget exceeded.
+2 input error, 3 resource cap or search budget exceeded, 141 (128 + SIGPIPE)
+stdout closed by its reader before the output was written.
 """
 
 from __future__ import annotations
@@ -9,8 +10,8 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
-from pathlib import Path
 
 from . import __version__
 from .errors import BudgetExceeded, CapExceeded, InputError, ViewSynthError
@@ -136,7 +137,8 @@ def _read(path: str) -> str:
     try:
         if path == "-":
             return sys.stdin.read()
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            return f.read()
     except (OSError, ValueError) as exc:
         # ValueError covers undecodable bytes and a NUL in the path
         raise InputError(f"cannot read {path}: {exc}") from None
@@ -163,11 +165,11 @@ def _emit(args, payload: dict, text: str) -> None:
 def _dump_dot(args, automata: dict[str, "object"]) -> None:
     if not args.dot:
         return
-    outdir = Path(args.dot)
     try:
-        outdir.mkdir(parents=True, exist_ok=True)
+        os.makedirs(args.dot, exist_ok=True)
         for name, nwa in automata.items():
-            (outdir / f"{name}.dot").write_text(to_dot(nwa, name), encoding="utf-8")
+            with open(os.path.join(args.dot, f"{name}.dot"), "w", encoding="utf-8") as f:
+                f.write(to_dot(nwa, name))
     except (OSError, ValueError) as exc:
         # ValueError covers a NUL in the path
         raise InputError(f"cannot write DOT files to {args.dot}: {exc}") from None
@@ -369,19 +371,32 @@ def cmd_oracle_coherence(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (CapExceeded, BudgetExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ViewSynthError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RecursionError:
-        # the parser and the regex and automaton walkers recurse per nesting level
-        print("error: input nested too deeply", file=sys.stderr)
-        return 2
+        try:
+            args = build_parser().parse_args(argv)
+            return args.func(args)
+        except (CapExceeded, BudgetExceeded) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 3
+        except ViewSynthError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except RecursionError:
+            # the parser and the regex and automaton walkers recurse per nesting level
+            print("error: input nested too deeply", file=sys.stderr)
+            return 2
+        finally:
+            # a closed stdout shows here at the latest, not in the flush at
+            # exit; with no stdout at all (fd 1 closed at launch) it is None
+            if sys.stdout is not None:
+                sys.stdout.flush()
+    except BrokenPipeError:
+        # nobody reads stdout any more: point it at devnull, so that the
+        # flush at exit stays quiet too
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":

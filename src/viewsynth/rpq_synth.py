@@ -213,7 +213,6 @@ class _ClassCapture:
         for x in range(fresh):
             for b in monoid.alphabet:
                 self.left_factors[monoid.right_multiply(x, b)].append(x)
-        self.live_sets: dict[frozenset[int], int] = {}
         self.target = target
         labels = sorted(target.alphabet)
         self.target_moves = [
@@ -264,16 +263,13 @@ class _ClassCapture:
 
     def _live(self, union: frozenset[int]) -> int:
         """The elements with a right multiple in ``union``, as a bitmask:
-        a backward walk over the right multiplication, memoized per union."""
-        live = self.live_sets.get(union)
-        if live is None:
-            live, stack = 0, list(union)
-            while stack:
-                y = stack.pop()
-                if not live >> y & 1:
-                    live |= 1 << y
-                    stack.extend(self.left_factors[y])
-            self.live_sets[union] = live
+        a backward walk over the right multiplication."""
+        live, stack = 0, list(union)
+        while stack:
+            y = stack.pop()
+            if not live >> y & 1:
+                live |= 1 << y
+                stack.extend(self.left_factors[y])
         return live
 
     def reverse_contained(self, views: ClassViews, cap: int) -> bool:

@@ -10,11 +10,10 @@ The two-way automaton model is fixed here as follows: the tape is
 ``LEFT_END u RIGHT_END``; a transition ``(p, s, d, q)`` fires when the
 symbol under the head is ``s`` and moves the head one cell in direction
 ``d``; a run starts on the left endmarker in the initial state and accepts
-by reaching the right endmarker in a final state.  A machine keeps its
-moves per tape symbol in the two tables ``two_to_one`` reads.  A hand-built
-machine gets them from its transition set, whose moves off either endmarker
-are rejected at construction time; ``fold_automaton`` fills them straight
-from the rows of the query's automaton, with no transition set.
+by reaching the right endmarker in a final state.  A machine is its moves
+per tape symbol, in the two tables ``two_to_one`` reads;
+``fold_automaton`` fills them straight from the rows of the query's
+automaton.
 
 ``two_to_one`` turns such a machine into a one-way automaton whose states
 are Shepherdson's crossing tables of the prefix read so far, each with the
@@ -35,85 +34,36 @@ from __future__ import annotations
 
 from collections import deque
 
-from .errors import CapExceeded, InputError
+from .errors import CapExceeded
 from .model import Word, inverse
 from .automata import DEFAULT_DET_CAP, NWA, bits, first_word, image, mask
 
 LEFT_END = "⊢"   # ⊢
 RIGHT_END = "⊣"  # ⊣
-LEFT = "left"
-RIGHT = "right"
 
 
 class TwoNWA:
     """A nondeterministic two-way word automaton with endmarkers.
 
     ``left[s]`` lists the left moves on tape symbol ``s`` as (source,
-    target) pairs; ``right[s]`` holds one successor bitmask per state.  The
-    constructor validates ``transitions`` and files them in those tables;
-    :func:`fold_automaton` fills the tables directly and leaves
-    ``transitions`` ``None``.
+    target) pairs; ``right[s]`` holds one successor bitmask per state.
     """
 
-    __slots__ = ("n_states", "alphabet", "initial", "finals", "transitions", "left", "right")
+    __slots__ = ("n_states", "alphabet", "initial", "finals", "left", "right")
 
-    def __init__(self, n_states, alphabet, initial, finals, transitions):
-        self.n_states = int(n_states)
-        self.alphabet = frozenset(alphabet)
-        self.initial = int(initial)
-        self.finals = frozenset(finals)
-        self.transitions = frozenset(transitions)
-        tape_symbols = self.alphabet | {LEFT_END, RIGHT_END}
-        # per tape symbol, the left moves as (source, target) pairs and the
-        # right moves as one row bitmask per state: the tables two_to_one reads
-        left: dict[str, list[tuple[int, int]]] = {}
-        right: dict[str, list[int]] = {}
-        for p, s, d, q in self.transitions:
-            if not (0 <= p < self.n_states and 0 <= q < self.n_states):
-                raise InputError(f"two-way transition ({p},{s},{d},{q}) out of range")
-            if s not in tape_symbols:
-                raise InputError(f"two-way transition reads unknown symbol {s!r}")
-            if d == LEFT:
-                if s == LEFT_END:
-                    raise InputError("transition moves left of the left endmarker")
-                left.setdefault(s, []).append((p, q))
-            elif d == RIGHT:
-                if s == RIGHT_END:
-                    raise InputError("transition moves right of the right endmarker")
-                right.setdefault(s, [0] * self.n_states)[p] |= 1 << q
-            else:
-                raise InputError(f"bad direction {d!r}")
-        self.left = {s: tuple(pairs) for s, pairs in left.items()}
-        self.right = {s: tuple(rows) for s, rows in right.items()}
+    def __init__(self, n_states, alphabet, initial, finals, left, right):
+        self.n_states = n_states
+        self.alphabet = alphabet
+        self.initial = initial
+        self.finals = finals
+        self.left = left
+        self.right = right
 
     def __repr__(self):
         return (
             f"TwoNWA(states={self.n_states}, initial={self.initial}, "
             f"finals={sorted(self.finals)})"
         )
-
-
-def accepts_two(t: TwoNWA, word: Word) -> bool:
-    """Direct configuration-graph search over ``t.transitions``, which a
-    machine built from a transition set keeps; a test cross-check that
-    shares no move table with ``two_to_one``."""
-    moves: dict[tuple[int, str], list[tuple[str, int]]] = {}
-    for p, s, d, q in t.transitions:
-        moves.setdefault((p, s), []).append((d, q))
-    tape = (LEFT_END, *word, RIGHT_END)
-    seen = {(t.initial, 0)}
-    queue = deque(seen)
-    while queue:
-        state, cell = queue.popleft()
-        if cell == len(tape) - 1 and state in t.finals:
-            return True
-        for direction, nxt in moves.get((state, tape[cell]), ()):
-            cell2 = cell + 1 if direction == RIGHT else cell - 1
-            cfg = (nxt, cell2)
-            if cfg not in seen:
-                seen.add(cfg)
-                queue.append(cfg)
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -164,12 +114,12 @@ def fold_automaton(a: NWA) -> TwoNWA:
     ``(p, L)`` of ``a``'s states so that each crossing reads the cell it
     traverses, plus a start state sitting on the left endmarker.
 
-    The move tables are filled straight from ``a.rows``, with no transition
-    set and no validation pass: ``(p, R)`` turns into ``(p, L)`` on every
-    symbol but the left endmarker and back on every symbol but the right
-    one; each ``x`` row of ``a``, spread onto the ``(q, R)`` copies, is the
-    right row of ``(p, R)`` on ``x``; and each ``x`` move ``p -> q`` of
-    ``a`` is the left pair ``(p, L) -> (q, L)`` on ``inverse(x)``.
+    The move tables are filled straight from ``a.rows``: ``(p, R)`` turns
+    into ``(p, L)`` on every symbol but the left endmarker and back on
+    every symbol but the right one; each ``x`` row of ``a``, spread onto the
+    ``(q, R)`` copies, is the right row of ``(p, R)`` on ``x``; and each
+    ``x`` move ``p -> q`` of ``a`` is the left pair ``(p, L) -> (q, L)`` on
+    ``inverse(x)``.
     """
     tape = sorted(a.alphabet | {inverse(s) for s in a.alphabet})
     # state numbering: 0 = start; then (p, R) -> 1 + 2p, (p, L) -> 2 + 2p
@@ -206,11 +156,8 @@ def fold_automaton(a: NWA) -> TwoNWA:
     start[0] = spread(mask(a.initials))
     right[LEFT_END] = tuple(start)
 
-    t = TwoNWA.__new__(TwoNWA)
-    t.n_states, t.alphabet, t.initial = n_states, frozenset(tape), 0
-    t.finals = frozenset(1 + 2 * f for f in a.finals)
-    t.transitions, t.left, t.right = None, left, right
-    return t
+    finals = frozenset(1 + 2 * f for f in a.finals)
+    return TwoNWA(n_states, frozenset(tape), 0, finals, left, right)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -343,6 +346,21 @@ def test_unreachable_final_state_renders_empty():
     # state 2 is final but nothing reaches it; state 1 is reachable but not final
     a = NWA(3, {"b1"}, {0}, {2}, {(0, "b1", 1), (2, "b1", 2)})
     assert nwa_to_regex(a).render() == "empty"
+
+
+def test_nwa_to_regex_is_independent_of_the_hash_seed():
+    # the parallel edges join in one order, whatever order the set of
+    # transitions iterates in under the seed
+    moves = {(0, "b1", 1), (0, "b2", 1), (0, "b3", 1), (1, "b1", 2), (1, "b2", 2), (0, "b3", 2)}
+    args = (3, {"b1", "b2", "b3"}, {0}, {2}, moves)
+    probe = f"from viewsynth.automata import NWA, nwa_to_regex\nprint(nwa_to_regex(NWA(*{args!r})).render())"
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+    outputs = {
+        subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60,
+                       env=dict(env, PYTHONHASHSEED=str(seed))).stdout
+        for seed in range(8)
+    }
+    assert outputs == {nwa_to_regex(NWA(*args)).render() + "\n"}
 
 
 def test_epsilon_elimination():

@@ -986,6 +986,39 @@ def test_version_flag(capsys):
     assert exc.value.code == 0
 
 
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [
+    ["monoid", "(b1|b2).(b1|b2)*.b3"], ["contain", "b1", "b1|b2"],
+], ids=["monoid", "contain"])
+def test_closed_stdout_exits_141_quietly(argv, buffered):
+    # exit 1 would read as "does not hold"; 141 is how a shell reports a
+    # writer that SIGPIPE killed.  Buffered, the write fails only in a flush.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "viewsynth.cli", *argv], stdout=write_end,
+            stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")
+
+
+def test_stdout_closed_at_launch_is_not_an_error():
+    # without fd 1 sys.stdout is None and print writes nowhere, as before
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "viewsynth.cli", "contain", "b1", "b1|b2"],
+        stderr=subprocess.PIPE, env=env, timeout=60, preexec_fn=lambda: os.close(1),
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+
+
 # --- launch ----------------------------------------------------------------------
 
 ENGINE = ("model", "parser", "automata", "congruence", "report", "search", "rpq_synth",
@@ -994,7 +1027,7 @@ ENGINE = ("model", "parser", "automata", "congruence", "report", "search", "rpq_
 
 def test_cli_import_path_is_lean_and_eager():
     # every launch pays for what importing the CLI loads: no dataclasses,
-    # inspect or typing; -S keeps site's .pth files from loading them first.
+    # inspect, typing or pathlib; -S keeps site's .pth files from loading them first.
     # The engine modules load at import, not in a command handler, and the
     # referee only in the oracle subcommands.
     probe = (
@@ -1009,6 +1042,6 @@ def test_cli_import_path_is_lean_and_eager():
     )
     assert proc.returncode == 0, proc.stderr
     loaded = set(json.loads(proc.stdout))
-    assert loaded.isdisjoint({"dataclasses", "inspect", "typing"})
+    assert loaded.isdisjoint({"dataclasses", "inspect", "typing", "pathlib"})
     assert {f"viewsynth.{name}" for name in ENGINE} <= loaded
     assert "viewsynth.oracle" not in loaded
