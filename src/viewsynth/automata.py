@@ -239,10 +239,9 @@ def trim(a: NWA) -> NWA:
     )
 
 
-def product(a: NWA, b: NWA, alphabet=None) -> NWA:
-    """Intersection of two languages over the shared alphabet: :func:`explore`
-    over pairs of states, from the initial pairs in sorted order."""
-    labels = frozenset(alphabet) if alphabet is not None else a.alphabet | b.alphabet
+def product(a: NWA, b: NWA) -> NWA:
+    """Intersection of two languages, over the union of the alphabets:
+    :func:`explore` over pairs of states, from the initial pairs in sorted order."""
     starts = [(p, q) for p in sorted(a.initials) for q in sorted(b.initials)]
 
     def successors(pq, label):
@@ -250,9 +249,10 @@ def product(a: NWA, b: NWA, alphabet=None) -> NWA:
         return [(p2, q2) for p2 in bits(a.rows[label][p]) for q2 in bits(b.rows[label][q])]
 
     # a label outside either alphabet moves nowhere
-    index, moves = explore(starts, successors, sorted(labels & a.alphabet & b.alphabet))
+    index, moves = explore(starts, successors, sorted(a.alphabet & b.alphabet))
     finals = {i for (p, q), i in index.items() if p in a.finals and q in b.finals}
-    return NWA(max(len(index), 1), labels, {index[pq] for pq in starts}, finals, moves)
+    initials = {index[pq] for pq in starts}
+    return NWA(max(len(index), 1), a.alphabet | b.alphabet, initials, finals, moves)
 
 
 def determinize(a: NWA, cap: int = DEFAULT_DET_CAP, alphabet=None) -> NWA:
@@ -294,26 +294,57 @@ def accepts(a: NWA, word: Word) -> bool:
     return bool(current & mask(a.finals))
 
 
-def first_word(start: int, successors, hit: int, labels) -> Word | None:
-    """The shortest word, least in label order among those, that leads from
-    the node set ``start`` to a set meeting ``hit``; ``None`` if none.  Node
-    sets are bitmasks, and ``successors(nodes, label)`` is the set one step
-    leads to from ``nodes``.
+def first_unaccepted(a: NWA, start, step, accepting, cap=None, what="") -> Word | None:
+    """The shortest word of L(a), least in label order among those, that
+    leads the deterministic automaton with initial state ``start``, moves
+    ``step(state, label)`` and test ``accepting(state)`` to a state it does
+    not accept; ``None`` when there is none.
 
-    Breadth-first over groups of nodes first reached by the same word, in
-    word order; nodes reached by one word must move as one group, or a
-    later node of the group could reach a hit by a smaller word.
+    Breadth-first, in word order, over groups of pairs (``a`` state ``p``,
+    right state numbered ``k``: the bit ``k * n + p``) first reached by the
+    same word; a group moves as one, or a later pair of it could reach a
+    hit by a smaller word.  Right states are numbered, and each (state,
+    label) step taken once, as the search meets them; more than ``cap`` of
+    them raise :class:`CapExceeded` ``(what, cap)``.
     """
-    seen = start
-    level = [(start, ())]
+    n = a.n_states
+    block, finals, labels = (1 << n) - 1, mask(a.finals), sorted(a.labels_present())
+    index, states, moves = {}, [], {}  # moves: (k, label) -> the numbered right state
+    hit = 0  # the pairs of a final state and a right state that rejects
+
+    def number(state) -> int:
+        nonlocal hit
+        k = index.get(state)
+        if k is None:
+            if cap is not None and len(states) >= cap:
+                raise CapExceeded(what, cap)
+            k = index[state] = len(states)
+            states.append(state)
+            if not accepting(state):
+                hit |= finals << k * n
+        return k
+
+    seen = mask(a.initials) << number(start) * n
+    level = [(seen, ())]
     while level:
-        for nodes, word in level:
-            if nodes & hit:
+        for pairs, word in level:
+            if pairs & hit:
                 return word
         following = []
-        for nodes, word in level:
+        for pairs, word in level:
             for label in labels:
-                reached = successors(nodes, label) & ~seen
+                rows, reached, rest = a.rows[label], 0, pairs
+                while rest:
+                    k = ((rest & -rest).bit_length() - 1) // n
+                    here = rest >> k * n & block
+                    rest ^= here << k * n
+                    moved = image(rows, here)
+                    if moved:
+                        k2 = moves.get((k, label))
+                        if k2 is None:
+                            k2 = moves[k, label] = number(step(states[k], label))
+                        reached |= moved << k2 * n
+                reached &= ~seen
                 if reached:
                     seen |= reached
                     following.append((reached, word + (label,)))
@@ -322,15 +353,9 @@ def first_word(start: int, successors, hit: int, labels) -> Word | None:
 
 
 def is_empty(a: NWA) -> tuple[bool, Word | None]:
-    """Emptiness with a shortest witness (lexicographically least among them),
-    by :func:`first_word` over bitmasks of ``a``'s states stepped by
-    :func:`image`."""
-    witness = first_word(
-        mask(a.initials),
-        lambda s, x: image(a.rows[x], s),
-        mask(a.finals),
-        sorted(a.labels_present()),
-    )
+    """Emptiness with a shortest witness (lexicographically least among them):
+    :func:`first_unaccepted` against the automaton that accepts nothing."""
+    witness = first_unaccepted(a, 0, lambda state, _: state, lambda _: False)
     return witness is None, witness
 
 
@@ -340,8 +365,7 @@ def difference_witness(
     """A shortest word in L(a) \\ L(b), or ``None`` when L(a) is contained in L(b)."""
     labels = a.alphabet | b.alphabet
     comp = complement(determinize(b, cap=cap, alphabet=labels))
-    empty, witness = is_empty(product(a, comp, alphabet=labels))
-    return None if empty else witness
+    return is_empty(product(a, comp))[1]
 
 
 def contains(a: NWA, b: NWA, cap: int = DEFAULT_DET_CAP) -> bool:

@@ -44,10 +44,20 @@ _OPTIONS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose help and version text fails on a closed
+    stdout like every other write, where argparse would swallow the error."""
+
+    def _print_message(self, message, file=None):
+        if message and file is not None and file is sys.stdout:
+            return file.write(message)
+        return super()._print_message(message, file)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared by later calls."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="viewsynth",
         description="View synthesis from schema mappings (RPQ and (U)CQ families).",
     )

@@ -9,9 +9,10 @@ monoid serves all mappings, and each mapping is checked on its own.
 
 The search decides each candidate in the monoid (:class:`_ClassCapture`):
 nonemptiness and sound containment follow from the relations the classes
-induce on the target automaton, and exact mode's reverse containment from
-the monoid's multiplication.  Automata are built only for the final report
-and for :func:`capture_check`, which stays the referee of the monoid.
+induce on the target automaton, exact mode's reverse containment from the
+inclusion search ``first_unaccepted`` stepped by the monoid's product.
+Automata are built only for the final report and for :func:`capture_check`,
+which stays the referee of the monoid.
 Sound containment is antitone in the views and nonemptiness depends only
 on which views are empty, while reverse containment only grows with them
 (Calvanese et al., PODS 1999).  So a symbol's unions are walked level by
@@ -24,7 +25,7 @@ import itertools
 import math
 import time
 
-from .errors import BudgetExceeded, CapExceeded, InputError
+from .errors import BudgetExceeded, InputError
 from .model import EMPTY as EMPTY_REGEX
 from .model import Mapping, ProblemInstance, Regex, UCQ, Word
 from .automata import (
@@ -33,6 +34,7 @@ from .automata import (
     bits,
     compile_regex,
     difference_witness,
+    first_unaccepted,
     image,
     is_empty,
     mask,
@@ -168,18 +170,19 @@ class _ClassCapture:
     ``T`` is the block of ``m`` from state ``offset`` on.  Every word of a
     congruence class drives ``m`` by the class's relation, so a
     concatenation of classes and other labels drives it by the product of
-    their relations, which keeps a set of ``T``'s states inside ``T``.  Walking the source
-    automaton while carrying the set of ``T`` states reachable from ``T``'s
-    initial states therefore reaches a final source state with set ``S``
-    exactly when some word of the substituted source leads ``T`` to ``S``:
-    :meth:`capture` decides nonemptiness and sound containment so.  With
-    ``exact``, the tables of :meth:`reverse_contained` are built too, and it
-    decides exact mode's reverse containment.  No automaton is built per
-    candidate.
+    their relations, which keeps a set of ``T``'s states inside ``T``.
+    Walking the source automaton while carrying the set of ``T`` states
+    reachable from ``T``'s initial states therefore reaches a final source
+    state with set ``S`` exactly when some word of the substituted source
+    leads ``T`` to ``S``: :meth:`capture` decides nonemptiness and sound
+    containment so.  Given the monoid's ``left_factors`` (exact mode), the
+    tables of :meth:`reverse_contained` are built too, and it decides exact
+    mode's reverse containment.  No automaton is built per candidate.
     """
 
     def __init__(
-        self, checker: _MappingChecker, m: NWA, monoid: TransitionMonoid, offset: int, exact: bool
+        self, checker: _MappingChecker, m: NWA, monoid: TransitionMonoid, offset: int,
+        left_factors: "list[list[int]] | None",
     ):
         self.class_rows = monoid.elements
         target = checker.a_t
@@ -196,7 +199,7 @@ class _ClassCapture:
                 self.edges[p].append((x, None, q))
             else:
                 self.edges[p].append((None, m.rows[x], q))
-        if not exact:
+        if left_factors is None:
             return
         # N's state (p, x) of reverse_contained is bit p * width + x
         self.fresh = fresh = len(monoid.elements)
@@ -208,19 +211,9 @@ class _ClassCapture:
         self.reverse_start = sum(1 << (p * width + fresh) for p in a_s.initials)
         self.reverse_accepting = sum(1 << (p * width + fresh) for p in a_s.finals)
         self.fresh_bits = sum(1 << (p * width + fresh) for p in range(a_s.n_states))
-        # y's left factors: each x with x·b = y for a generator b
-        self.left_factors: list[list[int]] = [[] for _ in range(fresh)]
-        for x in range(fresh):
-            for b in monoid.alphabet:
-                self.left_factors[monoid.right_multiply(x, b)].append(x)
-        self.target = target
-        labels = sorted(target.alphabet)
-        self.target_moves = [
-            [(b, tuple(bits(target.rows[b][t]))) for b in labels if target.rows[b][t]]
-            for t in range(target.n_states)
-        ]
+        self.left_factors, self.target = left_factors, target
         self.letter_rows = {}
-        for b in labels:
+        for b in target.alphabet:
             rows = [0] * (a_s.n_states * width)
             for p in range(a_s.n_states):
                 base = p * width
@@ -291,11 +284,9 @@ class _ClassCapture:
         the union of the views on ``p``'s source edges can never close, so
         it is dropped from every set; ``(p, fresh)`` always stays.
 
-        One search over pairs (``T`` state, set of ``N`` states) meets a
-        final ``T`` state with no accepting ``N`` state exactly when some
-        target word lies outside ``S[V]``.  Each set's step on a letter is
-        computed once per call.  Raises :class:`CapExceeded` when more than
-        ``cap`` distinct sets appear.
+        ``T`` lies inside ``S[V]`` exactly when ``first_unaccepted`` of
+        ``T`` against the sets of ``N`` states finds no word; ``cap`` bounds
+        the distinct sets one check meets (raising :class:`CapExceeded`).
         """
         width, fresh, identity = self.width, self.fresh, self.identity
         closing = self.closing
@@ -315,31 +306,12 @@ class _ClassCapture:
         for p, out in enumerate(closing):
             union = frozenset().union(*(views.get(sym, ()) for sym, _ in out))
             live |= self._live(union) << (p * width)
-        letter_rows = self.letter_rows
-        moves = self.target_moves
-        finals, accepting = self.target.finals, self.reverse_accepting
-        start = close(self.reverse_start)
-        sets = {start}
-        steps: dict[tuple[int, str], int] = {}
-        seen = {(t, start) for t in self.target.initials}
-        stack = list(seen)
-        while stack:
-            t, members = stack.pop()
-            if t in finals and not members & accepting:
-                return False
-            for b, successors in moves[t]:
-                nxt = steps.get((members, b))
-                if nxt is None:
-                    nxt = steps[members, b] = close(image(letter_rows[b], members) & live)
-                    if nxt not in sets:
-                        sets.add(nxt)
-                        if len(sets) > cap:
-                            raise CapExceeded("determinization", cap)
-                for u in successors:
-                    if (u, nxt) not in seen:
-                        seen.add((u, nxt))
-                        stack.append((u, nxt))
-        return True
+        rows, accepting = self.letter_rows, self.reverse_accepting
+        return first_unaccepted(
+            self.target, close(self.reverse_start),
+            lambda members, b: close(image(rows[b], members) & live),
+            lambda members: members & accepting, cap, "determinization",
+        ) is None
 
 
 # ---------------------------------------------------------------------------
@@ -371,8 +343,14 @@ class _Engine:
         m = union_nwa([c.a_t for c in self.checkers], alphabet=labels)
         self.monoid = transition_monoid(m, generators=instance.target_names, cap=monoid_cap)
         offsets = itertools.accumulate((c.a_t.n_states for c in self.checkers), initial=0)
+        left_factors = None
+        if mode == "exact":
+            # y's left factors, shared by all mappings: each x with x·b = y for a generator b
+            left_factors = [[] for _ in self.monoid.elements]
+            for x, b in itertools.product(range(len(left_factors)), self.monoid.alphabet):
+                left_factors[self.monoid.right_multiply(x, b)].append(x)
         self.class_checks = [
-            _ClassCapture(c, m, self.monoid, offset, mode == "exact")
+            _ClassCapture(c, m, self.monoid, offset, left_factors)
             for c, offset in zip(self.checkers, offsets)
         ]
         self.stats = SearchStats(mode=mode, monoid_size=len(self.monoid.elements))

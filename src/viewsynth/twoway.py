@@ -26,8 +26,8 @@ reuses them all, and acceptance is one search from the set of states that
 can enter the right endmarker.
 
 ``fold_difference`` decides containment on the result: guided by the
-left-hand query, ``two_to_one`` is deterministic on that query's words, so
-one search over pairs of their states finds a shortest separating word.
+left-hand query, ``two_to_one`` is deterministic on its words, so
+``automata.first_unaccepted`` finds a shortest separating word.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from collections import deque
 
 from .errors import CapExceeded
 from .model import Word, inverse
-from .automata import DEFAULT_DET_CAP, NWA, bits, first_word, image, mask
+from .automata import DEFAULT_DET_CAP, NWA, bits, first_unaccepted, image, mask
 
 LEFT_END = "⊢"   # ⊢
 RIGHT_END = "⊣"  # ⊣
@@ -325,29 +325,16 @@ def fold_difference(q1: NWA, q2: NWA, cap: int = DEFAULT_DET_CAP) -> Word | None
     among those; ``None`` when L(q1) lies inside the fold.
 
     ``two_to_one`` guided by ``q1`` gives a deterministic automaton ``d``
-    for the fold on every word of L(q1), so one search over pairs (``q1``
-    state ``p``, ``d`` state ``s``), each the bit ``s * n + p`` of one
-    bitmask, decides the difference; a move ``d`` lacks reads a label
-    outside ``q2``'s tape and goes to the rejecting sink ``d.n_states``.
-    ``cap`` bounds the crossing states of ``d``.
+    for the fold on every word of L(q1), so :func:`first_unaccepted` of
+    ``q1`` against ``d`` decides the difference.  A move ``d`` lacks reads a
+    label outside ``q2``'s tape; it goes to the sink ``d.n_states``, which
+    rejects and, having no moves, stays.  ``cap`` bounds ``d``'s states.
     """
     d = two_to_one(fold_automaton(q2), cap=cap, within=q1)
-    n, sink = q1.n_states, d.n_states
-    block = (1 << n) - 1
-    # the sink has no key here, so its moves stay in the sink
     moves = {(s, label): s2 for s, label, s2 in d.transitions}
-
-    def successors(pairs, label):
-        out = 0
-        while pairs:
-            s = ((pairs & -pairs).bit_length() - 1) // n
-            here = pairs >> (s * n) & block
-            out |= image(q1.rows[label], here) << (moves.get((s, label), sink) * n)
-            pairs ^= here << (s * n)
-        return out
-
-    hit = sum(mask(q1.finals) << (s * n) for s in range(sink + 1) if s not in d.finals)
-    return first_word(mask(q1.initials), successors, hit, sorted(q1.labels_present()))
+    return first_unaccepted(
+        q1, 0, lambda s, label: moves.get((s, label), d.n_states), d.finals.__contains__
+    )
 
 
 def contains_2rpq(q1: NWA, q2: NWA, cap: int = DEFAULT_DET_CAP) -> bool:

@@ -19,7 +19,10 @@ from viewsynth.automata import (
     difference_witness,
     eliminate_epsilon,
     explore,
+    first_unaccepted,
+    image,
     is_empty,
+    mask,
     nwa_to_regex,
     product,
     substitute,
@@ -27,7 +30,7 @@ from viewsynth.automata import (
     trim,
     word_nwa,
 )
-from viewsynth.oracle import enumerate_language
+from viewsynth.oracle import enumerate_language, random_regex
 from viewsynth.parser import parse_regex
 
 from .conftest import all_words, bounded_language, rx
@@ -292,7 +295,7 @@ def test_substitute_matches_textual_substitution():
 def test_product_complement_pointwise(r1, r2):
     alphabet = {"b1", "b2"}
     a, b = compile_regex(r1), compile_regex(r2)
-    prod = product(a, b, alphabet=alphabet)
+    prod = product(a, b)
     comp = complement(determinize(a, alphabet=alphabet))
     for w in all_words(alphabet, 3):
         assert accepts(prod, w) == (accepts(a, w) and accepts(b, w))
@@ -316,6 +319,53 @@ def test_emptiness_matches_bounded_search(r):
 def test_emptiness_witness_is_least_among_equal_prefixes():
     # both branches read b2 b1 first; the second one ends with the smaller b1
     assert is_empty(rx("b2.b1.b2|b2.b1.b1")) == (False, ("b2", "b1", "b1"))
+
+
+def _subsets_of(y: NWA):
+    """``y``'s subset construction as the start, step and test of
+    :func:`first_unaccepted`: a label ``y`` lacks leads to the empty set."""
+    finals = mask(y.finals)
+    return (
+        mask(y.initials),
+        lambda members, label: image(y.rows[label], members) if label in y.rows else 0,
+        lambda members: members & finals,
+    )
+
+
+def test_first_unaccepted_against_subsets_is_difference_witness():
+    # the referee builds determinize, complement and product; the kernel
+    # steps y's sets on the fly and must find the same shortest, least word
+    rng = random.Random(41)
+    tally = {"holds": 0, "fails": 0}
+    for _ in range(600):
+        labels = rng.choice((["b1", "b2"], ["b1", "b2", "b3"]))
+        x, y = (compile_regex(random_regex(rng, labels, max_leaves=4)) for _ in range(2))
+        for a, b in ((x, y), (y, x)):
+            word = first_unaccepted(a, *_subsets_of(b))
+            assert word == difference_witness(a, b), (a, b)
+            tally["holds" if word is None else "fails"] += 1
+    assert min(tally.values()) >= 100, tally
+
+
+@pytest.mark.parametrize("rejects", [False, True], ids=["accepts-all", "rejects-last"])
+def test_first_unaccepted_caps_the_right_states_it_meets(rejects):
+    # a counter that stops at 4 meets five right states, one per b1
+    calls = []
+
+    def step(count, label):
+        calls.append((count, label))
+        return min(count + 1, 4)
+
+    def accepting(count):
+        return not (rejects and count == 4)
+
+    a = rx("b1*")
+    assert first_unaccepted(a, 0, step, accepting, cap=5) == (("b1",) * 4 if rejects else None)
+    # each right state's move is taken once, and none past the witness
+    assert calls == [(count, "b1") for count in range(4 if rejects else 5)]
+    with pytest.raises(CapExceeded) as info:
+        first_unaccepted(a, 0, step, accepting, cap=4, what="counter")
+    assert (info.value.what, info.value.cap) == ("counter", 4)
 
 
 

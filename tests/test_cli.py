@@ -989,7 +989,8 @@ def test_version_flag(capsys):
 @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("argv", [
     ["monoid", "(b1|b2).(b1|b2)*.b3"], ["contain", "b1", "b1|b2"],
-], ids=["monoid", "contain"])
+    ["--version"], ["--help"], ["contain", "--help"],
+], ids=["monoid", "contain", "version", "help", "contain-help"])
 def test_closed_stdout_exits_141_quietly(argv, buffered):
     # exit 1 would read as "does not hold"; 141 is how a shell reports a
     # writer that SIGPIPE killed.  Buffered, the write fails only in a flush.
