@@ -45,13 +45,15 @@ _OPTIONS = {
 
 
 class _Parser(argparse.ArgumentParser):
-    """An argument parser whose help and version text fails on a closed
-    stdout like every other write, where argparse would swallow the error."""
+    """An argument parser whose help and version text goes to stdout as
+    ``print``'s does: nowhere without one, and failing on a closed one,
+    where argparse would send it to stderr or swallow the error."""
 
     def _print_message(self, message, file=None):
-        if message and file is not None and file is sys.stdout:
-            return file.write(message)
-        return super()._print_message(message, file)
+        if file is not sys.stdout:
+            return super()._print_message(message, file)
+        if file is not None and message:
+            file.write(message)
 
 
 @functools.cache

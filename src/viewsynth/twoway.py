@@ -10,7 +10,7 @@ The two-way automaton model is fixed here as follows: the tape is
 ``LEFT_END u RIGHT_END``; a transition ``(p, s, d, q)`` fires when the
 symbol under the head is ``s`` and moves the head one cell in direction
 ``d``; a run starts on the left endmarker in the initial state and accepts
-by reaching the right endmarker in a final state.  A machine is its moves
+on the right endmarker in a final state.  A machine is its moves
 per tape symbol, in the two tables ``two_to_one`` reads;
 ``fold_automaton`` fills them straight from the rows of the query's
 automaton.
@@ -19,11 +19,10 @@ automaton.
 are Shepherdson's crossing tables of the prefix read so far, each with the
 set of states that can enter the next cell.  A table keeps rows for the
 targets of left moves only, the one place the head re-enters the prefix.
-Each letter's table comes from a graph search on the new cell, one per
-target, that collects reach and exits together and reuses the finished
-searches of earlier targets; the next entry set is one more search, which
-reuses them all, and acceptance is one search from the set of states that
-can enter the right endmarker.
+Each letter's table comes from one graph search per target on the new
+cell, which collects the states the head can exit it right in; the next
+entry set is one more search, from the whole entry set.  Acceptance is
+that search on the right endmarker, where a final state exits into itself.
 
 ``fold_difference`` decides containment on the result: guided by the
 left-hand query, ``two_to_one`` is deterministic on its words, so
@@ -174,24 +173,24 @@ def two_to_one(t: TwoNWA, cap: int = DEFAULT_DET_CAP, within: NWA | None = None)
     eventually exit right.  The head comes back into the prefix only by a
     left move, so the table keeps no other state's row.  Per letter,
     ``step`` builds the new table and ``enter`` the new entry set, both by
-    searching the new cell.  A crossing state accepts when one search from
-    its entry set on the right endmarker reaches a final state.  Without
-    ``within`` the result is deterministic and complete over the two-way
-    automaton's alphabet.
+    searching the new cell.  A crossing state accepts when ``enter`` on the
+    right endmarker, where a final state exits into itself, finds an exit.
+    Without ``within`` the result is deterministic and complete over the
+    two-way automaton's alphabet.
 
     With ``within``, the search walks pairs (``within`` state, crossing
     state) and only follows letters ``within`` can read, so it builds just
-    the crossing states that prefixes of words of ``L(within)`` reach.  The
+    the crossing states that prefixes of words of ``L(within)`` lead to.  The
     result is a partial deterministic automaton that agrees with ``t`` on
     every word of ``L(within)``.  ``cap`` bounds the crossing states built.
     """
     n = t.n_states
     right = t.right
     no_moves = (0,) * n
-    finals_mask = mask(t.finals)
+    # on the right endmarker a final state is its own exit
+    final_rows = [1 << q if q in t.finals else 0 for q in range(n)]
     # a table holds one row per left-move target, in increasing order
     targets = sorted({q for pairs in t.left.values() for _, q in pairs})
-    all_targets = mask(targets)
     slot = {q: i for i, q in enumerate(targets)}
     left = {s: [(p, slot[q]) for p, q in pairs] for s, pairs in t.left.items()}
 
@@ -210,16 +209,12 @@ def two_to_one(t: TwoNWA, cap: int = DEFAULT_DET_CAP, within: NWA | None = None)
         The head may dip left into the prefix any number of times, and
         ``table`` brings each dip back, so one step of the search on this
         cell goes from ``q`` to ``succ[q]``.  One search per target
-        collects the states the head reaches and those it exits right in.
-        Targets are searched in order; a search that meets an earlier
-        target takes that target's reach and exits whole instead of
-        expanding it.
+        collects the right moves of the states it meets.  Acceptance is
+        ``enter`` on ``dips(RIGHT_END, table)`` with ``final_rows``.
         """
         succ = dips(symbol, table)
         rights = right.get(symbol, no_moves)
-        reach = [0] * n
-        out = [0] * n
-        finished = 0
+        rows = []
         for p in targets:
             seen = 1 << p
             exits = rights[p]
@@ -227,53 +222,28 @@ def two_to_one(t: TwoNWA, cap: int = DEFAULT_DET_CAP, within: NWA | None = None)
             while frontier:
                 seen |= frontier
                 fresh = 0
-                # image inlined: these loops are most of the conversion's time
-                done = frontier & finished
-                while done:
-                    low = done & -done
-                    q = low.bit_length() - 1
-                    seen |= reach[q]
-                    exits |= out[q]
-                    done ^= low
-                todo = frontier & ~finished
-                while todo:
-                    low = todo & -todo
+                # inlined, not shared with enter: most of the conversion's time
+                while frontier:
+                    low = frontier & -frontier
                     q = low.bit_length() - 1
                     fresh |= succ[q]
                     exits |= rights[q]
-                    todo ^= low
+                    frontier ^= low
                 frontier = fresh & ~seen
-            reach[p] = seen
-            out[p] = exits
-            finished |= 1 << p
-        return tuple([out[p] for p in targets]), (succ, rights, reach, out)
+            rows.append(exits)
+        return tuple(rows), (succ, rights)
 
     def enter(e: int, cell) -> int:
         """The states in which a head entering ``cell`` in some state of
-        ``e`` can exit it right: one search from the whole set, which takes
-        every target's reach and exits from ``step`` whole."""
-        succ, rights, reach, out = cell
+        ``e`` can exit it right: one search from the whole set."""
+        succ, rights = cell
         seen = frontier = e
         exits = 0
         while frontier:
-            done, todo = frontier & all_targets, frontier & ~all_targets
-            exits |= image(out, done) | image(rights, todo)
-            seen |= image(reach, done)
-            frontier = image(succ, todo) & ~seen
-            seen |= frontier
-        return exits
-
-    def accepts_from(e: int, table: tuple[int, ...]) -> bool:
-        """Whether entering the right endmarker in some state of ``e``
-        reaches a final state there: one search from the whole set."""
-        succ = dips(RIGHT_END, table)
-        seen = frontier = e
-        while frontier:
-            if frontier & finals_mask:
-                return True
+            exits |= image(rights, frontier)
             frontier = image(succ, frontier) & ~seen
             seen |= frontier
-        return False
+        return exits
 
     # behavior over the left endmarker alone: nothing lies left of it
     table0, cell0 = step(LEFT_END, ())
@@ -316,7 +286,9 @@ def two_to_one(t: TwoNWA, cap: int = DEFAULT_DET_CAP, within: NWA | None = None)
                 if (g2, key2) not in seen:
                     seen.add((g2, key2))
                     queue.append((g2, key2))
-    finals = {i for (e, table), i in index.items() if accepts_from(e, table)}
+    finals = {
+        i for (e, table), i in index.items() if enter(e, (dips(RIGHT_END, table), final_rows))
+    }
     return NWA(len(index), t.alphabet, {0}, finals, transitions)
 
 

@@ -1010,14 +1010,29 @@ def test_closed_stdout_exits_141_quietly(argv, buffered):
     assert (proc.returncode, proc.stderr) == (141, b"")
 
 
-def test_stdout_closed_at_launch_is_not_an_error():
-    # without fd 1 sys.stdout is None and print writes nowhere, as before
+def _launch_without_stdout(*argv):
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-m", "viewsynth.cli", "contain", "b1", "b1|b2"],
+    return subprocess.run(
+        [sys.executable, "-m", "viewsynth.cli", *argv],
         stderr=subprocess.PIPE, env=env, timeout=60, preexec_fn=lambda: os.close(1),
     )
+
+
+@pytest.mark.parametrize("argv", [
+    ("contain", "b1", "b1|b2"), ("--help",), ("--version",), ("contain", "--help"),
+], ids=["contain", "help", "version", "contain-help"])
+def test_stdout_closed_at_launch_is_not_an_error(argv):
+    # without fd 1 sys.stdout is None and print writes nowhere; help and
+    # version text, bound for stdout, goes nowhere too, not to stderr
+    proc = _launch_without_stdout(*argv)
     assert (proc.returncode, proc.stderr) == (0, b"")
+
+
+def test_usage_error_with_stdout_closed_at_launch_still_reports():
+    proc = _launch_without_stdout("synth")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(b"usage: viewsynth synth")
+    assert b"the following arguments are required: file" in proc.stderr
 
 
 # --- launch ----------------------------------------------------------------------

@@ -397,11 +397,21 @@ def test_bounded_equivalence_against_brute_fold_search():
             assert accepts(one, u) == brute_fold_accepts(a, u, bound), (a, u)
 
 
+def _left_targets_right_moves_enter(t):
+    """The targets of ``t``'s left moves that some right move also enters."""
+    targets = {q for pairs in t.left.values() for _, q in pairs}
+    entered = 0
+    for rows in t.right.values():
+        for row in rows:
+            entered |= row
+    return {q for q in targets if entered >> q & 1}
+
+
 def random_two_nwa(rng, labels):
     """A random genuine two-way automaton: moves on both endmarkers, left
     and right moves on letters, and loops that leave a cell and come back
-    to it in the state they left it in, so that a crossing step's searches
-    meet states whose own search is already finished."""
+    to it in the state they left it in, so that a state a right move enters
+    is also the target of a left move, which a fold machine never has."""
     n = rng.randint(2, 6)
     tape = tuple(labels) + (LEFT_END, RIGHT_END)
     transitions = {(0, LEFT_END, RIGHT, rng.randrange(n))}
@@ -432,6 +442,7 @@ def test_two_to_one_matches_genuine_two_way_runs():
     outcomes = []
     for _ in range(60):
         t = random_two_nwa(rng, labels)
+        assert _left_targets_right_moves_enter(t), t
         guide = random_nwa_to_fold(rng, labels)
         for within in (None, guide):
             one = two_to_one(t, within=within)
@@ -486,6 +497,14 @@ def test_fold_tables_match_the_transition_set_referee():
         assert all(len(set(pairs)) == len(pairs) for pairs in t.left.values()), a
 
 
+def test_fold_left_move_targets_are_never_entered_by_right_moves():
+    # (p, L) copies are the left-move targets and right moves enter only
+    # (q, R) copies, so a crossing step's search on a fold machine never
+    # meets another target's search
+    for a in _fold_inputs():
+        assert not _left_targets_right_moves_enter(fold_automaton(a)), a
+
+
 def test_two_to_one_cap_edge_is_pinned():
     # the cap counts crossing states built; --det-cap exit codes rest on it
     t = fold_automaton(rx2("a b b^- b c"))
@@ -494,6 +513,39 @@ def test_two_to_one_cap_edge_is_pinned():
         assert two_to_one(t, cap=size, within=within).n_states == size
         with pytest.raises(CapExceeded):
             two_to_one(t, cap=size - 1, within=within)
+
+
+# Crossing states built per pair of _random_2rpq_pairs(random.Random(61), 200):
+# guided by q1, then unguided; --det-cap counts them, so a change of the
+# crossing-state keys would move these counts.
+_FAMILY_GUIDED = [
+    6, 3, 6, 6, 6, 4, 7, 3, 7, 3, 3, 3, 3, 3, 8, 2, 2, 2, 7, 3, 4, 3, 6, 4, 3, 3, 5, 3, 3, 1,
+    3, 1, 4, 2, 6, 1, 2, 3, 9, 2, 6, 3, 6, 1, 3, 3, 6, 6, 7, 2, 5, 2, 4, 4, 7, 3, 3, 1, 4, 2,
+    7, 2, 6, 1, 6, 1, 3, 3, 5, 2, 7, 2, 6, 3, 6, 2, 3, 6, 5, 3, 4, 2, 3, 2, 3, 3, 5, 4, 6, 3,
+    4, 1, 6, 1, 4, 1, 6, 1, 6, 1, 4, 2, 4, 3, 4, 5, 4, 3, 7, 2, 5, 1, 4, 1, 3, 3, 5, 4, 4, 2,
+    5, 1, 6, 1, 7, 1, 8, 4, 3, 3, 6, 3, 7, 2, 6, 1, 3, 1, 9, 1, 6, 2, 6, 2, 7, 2, 6, 2, 5, 2,
+    3, 1, 7, 2, 3, 2, 3, 6, 7, 2, 7, 2, 5, 4, 4, 2, 5, 3, 6, 1, 5, 3, 5, 5, 3, 2, 3, 3, 5, 3,
+    5, 1, 5, 2, 7, 2, 3, 3, 5, 2, 8, 2, 7, 1, 7, 2, 3, 5, 3, 1,
+]
+_FAMILY_UNGUIDED = [
+    15, 5, 10, 7, 8, 8, 18, 6, 11, 3, 7, 3, 5, 6, 17, 6, 3, 3, 12, 4, 5, 9, 9, 6, 8, 5, 6, 6,
+    9, 7, 4, 5, 5, 5, 11, 3, 3, 5, 16, 5, 9, 3, 8, 4, 8, 4, 9, 6, 13, 4, 8, 6, 5, 4, 16, 5, 8,
+    3, 5, 4, 12, 3, 8, 3, 11, 4, 4, 4, 6, 6, 13, 6, 8, 7, 12, 3, 4, 8, 11, 7, 6, 4, 5, 4, 5, 4,
+    6, 5, 7, 5, 9, 5, 9, 4, 5, 5, 11, 5, 9, 3, 10, 6, 5, 3, 9, 7, 6, 8, 18, 5, 8, 4, 11, 3, 4,
+    6, 10, 7, 14, 6, 11, 5, 8, 3, 9, 6, 13, 5, 4, 6, 15, 6, 13, 4, 11, 3, 4, 4, 18, 3, 9, 3, 7,
+    5, 14, 5, 7, 5, 6, 3, 5, 6, 9, 3, 4, 3, 8, 8, 13, 3, 11, 6, 10, 7, 10, 5, 8, 6, 11, 7, 10,
+    8, 8, 6, 8, 4, 8, 3, 11, 3, 8, 3, 13, 6, 10, 4, 4, 5, 12, 3, 10, 7, 10, 3, 17, 7, 4, 6, 4, 3,
+]
+
+
+def test_two_to_one_crossing_state_counts_are_pinned_across_a_family():
+    guided, unguided = [], []
+    for q1, q2 in _random_2rpq_pairs(random.Random(61), 200):
+        t = fold_automaton(q2)
+        guided.append(two_to_one(t, within=q1).n_states)
+        unguided.append(two_to_one(t).n_states)
+    assert guided == _FAMILY_GUIDED
+    assert unguided == _FAMILY_UNGUIDED
 
 
 # --- contains_2rpq -----------------------------------------------------------------
